@@ -147,9 +147,8 @@ Result<Tensor> ApplyPrimitive(const PrimitiveInstance& prim,
                               op.stride, op.pad, std::max(1, op.groups),
                               op.relu, prim.quant.act_scale, pool);
       }
-      return Conv2DGemmImplicit(input, prim.weights[0], prim.weights[1],
-                                op.stride, op.pad, std::max(1, op.groups),
-                                op.relu, pool);
+      return Conv2DGemm(input, prim.weights[0], prim.weights[1], op.stride,
+                        op.pad, std::max(1, op.groups), op.relu, pool);
     case OpKind::kMaxPool:
       return MaxPool2D(input, op.window, op.stride, op.pad);
     case OpKind::kAvgPool:
@@ -179,24 +178,24 @@ Result<Tensor> ApplyPrimitive(const PrimitiveInstance& prim,
       // pool still parallelizes the three (or four) GEMMs.
       const auto& w = prim.weights;
       VISTA_ASSIGN_OR_RETURN(
-          Tensor h1, Conv2DGemmImplicit(input, w[0], w[1], op.stride, 0, 1,
-                                        /*relu=*/false, pool));
+          Tensor h1, Conv2DGemm(input, w[0], w[1], op.stride, 0, 1,
+                                /*relu=*/false, pool));
       VISTA_ASSIGN_OR_RETURN(h1, BatchNormInference(h1, w[2], w[3]));
       h1 = Relu(h1);
       VISTA_ASSIGN_OR_RETURN(
           Tensor h2,
-          Conv2DGemmImplicit(h1, w[4], w[5], 1, 1, 1, /*relu=*/false, pool));
+          Conv2DGemm(h1, w[4], w[5], 1, 1, 1, /*relu=*/false, pool));
       VISTA_ASSIGN_OR_RETURN(h2, BatchNormInference(h2, w[6], w[7]));
       h2 = Relu(h2);
       VISTA_ASSIGN_OR_RETURN(
           Tensor h3,
-          Conv2DGemmImplicit(h2, w[8], w[9], 1, 0, 1, /*relu=*/false, pool));
+          Conv2DGemm(h2, w[8], w[9], 1, 0, 1, /*relu=*/false, pool));
       VISTA_ASSIGN_OR_RETURN(h3, BatchNormInference(h3, w[10], w[11]));
       Tensor skip = input;
       if (op.project) {
         VISTA_ASSIGN_OR_RETURN(
-            skip, Conv2DGemmImplicit(input, w[12], w[13], op.stride, 0, 1,
-                                     /*relu=*/false, pool));
+            skip, Conv2DGemm(input, w[12], w[13], op.stride, 0, 1,
+                             /*relu=*/false, pool));
         VISTA_ASSIGN_OR_RETURN(skip, BatchNormInference(skip, w[14], w[15]));
       }
       VISTA_ASSIGN_OR_RETURN(Tensor sum, Add(h3, skip));

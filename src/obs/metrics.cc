@@ -90,23 +90,27 @@ double Histogram::Quantile(double q) const {
   int64_t total = 0;
   for (int64_t c : counts) total += c;
   if (total == 0) return 0.0;
+  // Bucket interpolation can land outside the recorded extremes (a bucket's
+  // lower bound sits below its smallest sample), so clamp into them. `hi`
+  // is floored at `lo` so a racing reader never sees an inverted range.
+  const double lo = min_value();
+  const double hi = std::max(lo, max_value());
   const double target = q * static_cast<double>(total);
   int64_t cumulative = 0;
   for (size_t i = 0; i < counts.size(); ++i) {
     const int64_t next = cumulative + counts[i];
     if (static_cast<double>(next) >= target && counts[i] > 0) {
       const double lower = i == 0 ? 0.0 : bounds_[i - 1];
-      const double upper = i < bounds_.size()
-                               ? bounds_[i]
-                               : max_.load(std::memory_order_relaxed);
+      const double upper = i < bounds_.size() ? bounds_[i] : hi;
       const double within =
           (target - static_cast<double>(cumulative)) /
           static_cast<double>(counts[i]);
-      return lower + (upper - lower) * std::clamp(within, 0.0, 1.0);
+      return std::clamp(
+          lower + (upper - lower) * std::clamp(within, 0.0, 1.0), lo, hi);
     }
     cumulative = next;
   }
-  return max_.load(std::memory_order_relaxed);
+  return hi;
 }
 
 Counter* Registry::counter(const std::string& name) {

@@ -82,8 +82,8 @@ class Histogram {
   double min_value() const;
   double max_value() const;
   /// Approximate quantile (q in [0,1]) from the bucket counts, linear
-  /// within a bucket. Reads are unsynchronized snapshots — fine for
-  /// reporting, not for invariants.
+  /// within a bucket and clamped to [min_value(), max_value()]. Reads are
+  /// unsynchronized snapshots — fine for reporting, not for invariants.
   double Quantile(double q) const;
 
   /// Upper bounds of the finite buckets; an implicit +inf bucket follows.

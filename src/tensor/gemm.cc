@@ -1,7 +1,6 @@
 #include "tensor/gemm.h"
 
 #include <algorithm>
-#include <cstring>
 
 #include "tensor/gemm_kernel.h"
 #include "tensor/scratch.h"
@@ -21,41 +20,6 @@ Status CheckMatMulShapes(const Tensor& a, const Tensor& b) {
                                    b.shape().ToString());
   }
   return Status::OK();
-}
-
-/// Writes the im2col expansion of `in` (CHW, dims c/h/w) into `out`, which
-/// must hold groups * (c/groups * kernel * kernel) * (h_out * w_out)
-/// floats. Row/column layout matches Im2Col's documented tensor layout.
-void Im2ColInto(const float* in, int64_t c, int64_t h, int64_t w, int kernel,
-                int stride, int pad, int groups, int64_t h_out,
-                int64_t w_out, float* out) {
-  const int64_t c_per_group = c / groups;
-  const int64_t rows = c_per_group * kernel * kernel;
-  const int64_t cols = h_out * w_out;
-  for (int64_t g = 0; g < groups; ++g) {
-    float* og = out + g * rows * cols;
-    for (int64_t cc = 0; cc < c_per_group; ++cc) {
-      const float* in_c = in + (g * c_per_group + cc) * h * w;
-      for (int ky = 0; ky < kernel; ++ky) {
-        for (int kx = 0; kx < kernel; ++kx) {
-          float* row = og + ((cc * kernel + ky) * kernel + kx) * cols;
-          for (int64_t oy = 0; oy < h_out; ++oy) {
-            const int64_t iy = oy * stride - pad + ky;
-            float* dst = row + oy * w_out;
-            if (iy < 0 || iy >= h) {
-              std::memset(dst, 0, sizeof(float) * w_out);
-              continue;
-            }
-            const float* src_row = in_c + iy * w;
-            for (int64_t ox = 0; ox < w_out; ++ox) {
-              const int64_t ix = ox * stride - pad + kx;
-              dst[ox] = (ix < 0 || ix >= w) ? 0.0f : src_row[ix];
-            }
-          }
-        }
-      }
-    }
-  }
 }
 
 /// Shared shape validation + derived geometry for the Conv2DGemm* family.
@@ -155,90 +119,9 @@ Result<Tensor> MatMulReference(const Tensor& a, const Tensor& b) {
   return c;
 }
 
-Result<Tensor> Im2Col(const Tensor& input, int kernel, int stride, int pad,
-                      int groups) {
-  if (input.shape().rank() != 3) {
-    return Status::InvalidArgument("Im2Col expects a CHW tensor");
-  }
-  if (kernel < 1 || stride < 1 || pad < 0 || groups < 1) {
-    return Status::InvalidArgument("Im2Col: bad kernel/stride/pad/groups");
-  }
-  const int64_t c = input.shape().dim(0);
-  const int64_t h = input.shape().dim(1);
-  const int64_t w = input.shape().dim(2);
-  if (c % groups != 0) {
-    return Status::InvalidArgument("Im2Col: channels not divisible");
-  }
-  if (kernel > h + 2 * pad || kernel > w + 2 * pad) {
-    return Status::InvalidArgument("Im2Col: kernel larger than padded input");
-  }
-  const int64_t h_out = (h + 2 * pad - kernel) / stride + 1;
-  const int64_t w_out = (w + 2 * pad - kernel) / stride + 1;
-  if (h_out <= 0 || w_out <= 0) {
-    return Status::InvalidArgument("Im2Col: empty output");
-  }
-  const int64_t c_per_group = c / groups;
-  const int64_t rows = c_per_group * kernel * kernel;
-  const int64_t cols = h_out * w_out;
-  Tensor out(Shape{groups, rows, cols});
-  Im2ColInto(input.data(), c, h, w, kernel, stride, pad, groups, h_out,
-             w_out, out.mutable_data());
-  return out;
-}
-
 Result<Tensor> Conv2DGemm(const Tensor& input, const Tensor& weights,
-                          const Tensor& bias, int stride, int pad,
-                          int groups) {
-  return Conv2DGemmImplicit(input, weights, bias, stride, pad, groups,
-                            /*relu=*/false, /*pool=*/nullptr);
-}
-
-Result<Tensor> Conv2DGemmEx(const Tensor& input, const Tensor& weights,
-                            const Tensor& bias, int stride, int pad,
-                            int groups, bool relu, ThreadPool* pool) {
-  ConvGeom g;
-  VISTA_RETURN_IF_ERROR(ComputeConvGeom("Conv2DGemm", input.shape(),
-                                        weights.shape(), bias.shape(), stride,
-                                        pad, groups, &g));
-  // im2col into the thread-local arena: reused across layers and images,
-  // so a warmed-up convolution performs no scratch allocation. This is the
-  // only remaining producer of the kIm2Col slot — the implicit hot path
-  // below never materializes the expansion.
-  KernelScratch& scratch = KernelScratch::ThreadLocal();
-  float* cols = scratch.Acquire(
-      KernelScratch::Slot::kIm2Col,
-      static_cast<size_t>(groups * g.rows * g.spatial));
-  Im2ColInto(input.data(), g.c, g.h, g.w, g.kernel, stride, pad, groups,
-             g.h_out, g.w_out, cols);
-
-  Tensor out(Shape{g.k_total, g.h_out, g.w_out});
-  float* o = out.mutable_data();
-  const float* wt = weights.data();
-  const float* b = bias.data();
-  for (int64_t gi = 0; gi < groups; ++gi) {
-    // Zero-copy group views: the group's filter matrix (k_per_group x rows)
-    // and patch matrix (rows x spatial) are contiguous slices addressed by
-    // pointer + stride, never materialized as tensors.
-    GemmEpilogue epilogue;
-    epilogue.bias = b + gi * g.k_per_group;
-    epilogue.relu = relu;
-    const float* a_g = wt + gi * g.k_per_group * g.rows;
-    const float* b_g = cols + gi * g.rows * g.spatial;
-    float* c_g = o + gi * g.k_per_group * g.spatial;
-    if (pool != nullptr) {
-      GemmPackedParallel(g.k_per_group, g.spatial, g.rows, a_g, g.rows, b_g,
-                         g.spatial, c_g, g.spatial, epilogue, pool);
-    } else {
-      GemmPacked(g.k_per_group, g.spatial, g.rows, a_g, g.rows, b_g,
-                 g.spatial, c_g, g.spatial, epilogue, &scratch);
-    }
-  }
-  return out;
-}
-
-Result<Tensor> Conv2DGemmImplicit(const Tensor& input, const Tensor& weights,
-                                  const Tensor& bias, int stride, int pad,
-                                  int groups, bool relu, ThreadPool* pool) {
+                          const Tensor& bias, int stride, int pad, int groups,
+                          bool relu, ThreadPool* pool) {
   ConvGeom g;
   VISTA_RETURN_IF_ERROR(ComputeConvGeom("Conv2DGemm", input.shape(),
                                         weights.shape(), bias.shape(), stride,
@@ -302,8 +185,7 @@ Result<Tensor> Conv2DGemmInt8(const Tensor& input, const QuantizedWeights& qw,
   }
   // No im2col and no staging quantization pass: the implicit B packer
   // quantizes each gathered patch value with act_scale while packing
-  // panels (the exact QuantizeSymmetric expression, so accumulators match
-  // the old quantize-the-expansion path bit for bit). The only scratch
+  // panels (the exact QuantizeSymmetric expression). The only scratch
   // this path touches beyond the packed panels is the k_total-float
   // combined-scale vector.
   KernelScratch& scratch = KernelScratch::ThreadLocal();

@@ -24,56 +24,32 @@ Result<Tensor> MatMul(const Tensor& a, const Tensor& b);
 /// baseline the micro benches measure speedup against.
 Result<Tensor> MatMulReference(const Tensor& a, const Tensor& b);
 
-/// im2col expansion of a CHW input for a (kernel x kernel, stride, pad)
-/// convolution over `groups` channel groups: produces, for group `g`, a
-/// matrix of shape (C/groups * kernel * kernel) x (H_out * W_out) laid out
-/// so that the group's filter matrix can be applied with one MatMul.
-/// Returns a rank-3 tensor (groups, C/groups*k*k, H_out*W_out).
-Result<Tensor> Im2Col(const Tensor& input, int kernel, int stride, int pad,
-                      int groups);
-
-/// Convolution as GEMM — an independent implementation of tensor/ops.h's
-/// Conv2D with identical semantics (including groups), differential-tested
-/// against the direct loops. Routes to Conv2DGemmImplicit (no relu, no
-/// pool). CnnModel uses this path.
+/// Convolution as *implicit* GEMM — the fp32 production path, with the
+/// same semantics as tensor/ops.h's direct Conv2D (including groups) and
+/// differential-tested against it. The patch matrix is never
+/// materialized: the GEMM's B-panel packer gathers patch elements straight
+/// from the padded CHW input while packing KC x NC panels
+/// (tensor/gemm_kernel.h), so conv scratch is just the two packed panels.
+/// A 1x1/stride-1/pad-0 convolution skips the gather entirely and feeds
+/// the input tensor to the packed GEMM in place. `relu` folds max(0, x)
+/// into the GEMM's output pass, and a non-null `pool` distributes each
+/// group's GEMM row tiles with ThreadPool::ParallelFor (safe under
+/// nesting; see thread_pool.h) — bit-identical to the serial run.
 Result<Tensor> Conv2DGemm(const Tensor& input, const Tensor& weights,
                           const Tensor& bias, int stride, int pad,
-                          int groups = 1);
+                          int groups = 1, bool relu = false,
+                          ThreadPool* pool = nullptr);
 
-/// Explicit im2col + GEMM reference: materializes the patch-matrix
-/// expansion into the thread-local arena (Slot::kIm2Col — this is the only
-/// remaining producer of that slot), then runs each group's packed GEMM
-/// over strided views. `relu` folds max(0, x) into the GEMM's output pass,
-/// and a non-null `pool` distributes each group's GEMM row tiles with
-/// ThreadPool::ParallelFor (safe under nesting; see thread_pool.h).
-/// Kept as the differential-test oracle and bench baseline for the
-/// implicit path below, which is bit-identical by construction.
-Result<Tensor> Conv2DGemmEx(const Tensor& input, const Tensor& weights,
-                            const Tensor& bias, int stride, int pad,
-                            int groups, bool relu, ThreadPool* pool);
-
-/// Convolution as *implicit* GEMM — the hot path. Same semantics and
-/// epilogue as Conv2DGemmEx, but the patch matrix is never materialized:
-/// the GEMM's B-panel packer gathers patch elements straight from the
-/// padded CHW input while packing KC x NC panels (tensor/gemm_kernel.h),
-/// so conv scratch drops from the full C/g*k^2 x H_out*W_out expansion to
-/// the two packed panels. A 1x1/stride-1/pad-0 convolution skips the
-/// gather entirely and feeds the input tensor to the packed GEMM in
-/// place. Output is bit-identical to Conv2DGemmEx: the packed panels are
-/// byte-identical, so the accumulation order is unchanged.
-Result<Tensor> Conv2DGemmImplicit(const Tensor& input, const Tensor& weights,
-                                  const Tensor& bias, int stride, int pad,
-                                  int groups, bool relu, ThreadPool* pool);
-
-/// Conv2DGemmImplicit on the quantized kernel: the implicit B packer
-/// quantizes each gathered patch value per-tensor with `act_scale` (the
-/// calibrated symmetric input scale; <= 0 is the zero-scale guard and
-/// quantizes to zeros) while packing — no fp32 expansion and no staging
-/// quantization pass — then each group's GEMM runs int8 x int8 into
-/// int32, and the fused epilogue dequantizes with the per-output-channel
-/// combined scale (weight_scale * act_scale), adds the fp32 bias and
-/// applies ReLU. Output and layer boundaries stay fp32. Int32
-/// accumulators are bit-identical to quantizing a materialized expansion.
+/// Conv2DGemm on the quantized kernel — the int8 production path: the
+/// implicit B packer quantizes each gathered patch value per-tensor with
+/// `act_scale` (the calibrated symmetric input scale; <= 0 is the
+/// zero-scale guard and quantizes to zeros) while packing — no fp32
+/// expansion and no staging quantization pass — then each group's GEMM
+/// runs int8 x int8 into int32, and the fused epilogue dequantizes with
+/// the per-output-channel combined scale (weight_scale * act_scale), adds
+/// the fp32 bias and applies ReLU. Output and layer boundaries stay fp32.
+/// Int32 accumulators equal a direct integer convolution over the
+/// quantized input and weights.
 Result<Tensor> Conv2DGemmInt8(const Tensor& input, const QuantizedWeights& qw,
                               const Tensor& bias, int stride, int pad,
                               int groups, bool relu, float act_scale,

@@ -31,34 +31,25 @@ int64_t ImplicitPanelBytes(int64_t m, int64_t n, int64_t k, bool int8) {
   return pack_b + pack_a;
 }
 
-/// Scratch bytes for one convolution over a (c, h, w) input. `materialized`
-/// adds the legacy explicit-path buffers: the fp32 im2col expansion
-/// (Slot::kIm2Col) and, for int8, the quantized staging copy
-/// (Slot::kQuantAct).
+/// Scratch bytes for one convolution over a (c, h, w) input.
 int64_t SingleConvTemp(int64_t c, int64_t h, int64_t w, int kernel,
                        int stride, int pad, int groups, int64_t oc,
-                       bool int8, bool materialized) {
+                       bool int8) {
   if (groups < 1) groups = 1;
   if (kernel < 1 || stride < 1 || c <= 0 || oc <= 0) return 0;
   const int64_t rows = (c / groups) * kernel * kernel;
   const int64_t h_out = (h + 2 * pad - kernel) / stride + 1;
   const int64_t w_out = (w + 2 * pad - kernel) / stride + 1;
   if (h_out <= 0 || w_out <= 0) return 0;
-  const int64_t spatial = h_out * w_out;
-  int64_t bytes = ImplicitPanelBytes(oc / groups, spatial, rows, int8);
+  int64_t bytes = ImplicitPanelBytes(oc / groups, h_out * w_out, rows, int8);
   if (int8) bytes += oc * 4;  // Combined dequant scales (Slot::kScales).
-  if (materialized) {
-    bytes += groups * rows * spatial * 4;
-    if (int8) bytes += RoundUpTo(groups * rows * spatial, 4);
-  }
   return bytes;
 }
 
 /// Max conv scratch across the convs a single op runs. Bottleneck-internal
 /// convs stay fp32 at any workload precision (ApplyPrimitive quantizes
 /// only standalone conv/fc primitives).
-int64_t OpConvTempBytes(const dl::OpSpec& op, const Shape& in, bool int8,
-                        bool materialized) {
+int64_t OpConvTempBytes(const dl::OpSpec& op, const Shape& in, bool int8) {
   if (in.rank() != 3) return 0;
   const int64_t c = in.dim(0);
   const int64_t h = in.dim(1);
@@ -66,23 +57,21 @@ int64_t OpConvTempBytes(const dl::OpSpec& op, const Shape& in, bool int8,
   switch (op.kind) {
     case dl::OpKind::kConv:
       return SingleConvTemp(c, h, w, op.kernel, op.stride, op.pad,
-                            std::max(1, op.groups), op.out_channels, int8,
-                            materialized);
+                            std::max(1, op.groups), op.out_channels, int8);
     case dl::OpKind::kBottleneck: {
       const int64_t mid = op.mid_channels;
       const int64_t out = op.out_channels;
       const int64_t h1 = (h - 1) / op.stride + 1;
       const int64_t w1 = (w - 1) / op.stride + 1;
       int64_t peak = SingleConvTemp(c, h, w, 1, op.stride, 0, 1, mid,
-                                    /*int8=*/false, materialized);
+                                    /*int8=*/false);
       peak = std::max(peak, SingleConvTemp(mid, h1, w1, 3, 1, 1, 1, mid,
-                                           /*int8=*/false, materialized));
+                                           /*int8=*/false));
       peak = std::max(peak, SingleConvTemp(mid, h1, w1, 1, 1, 0, 1, out,
-                                           /*int8=*/false, materialized));
+                                           /*int8=*/false));
       if (op.project) {
         peak = std::max(peak, SingleConvTemp(c, h, w, 1, op.stride, 0, 1,
-                                             out, /*int8=*/false,
-                                             materialized));
+                                             out, /*int8=*/false));
       }
       return peak;
     }
@@ -91,32 +80,22 @@ int64_t OpConvTempBytes(const dl::OpSpec& op, const Shape& in, bool int8,
   }
 }
 
-int64_t LayerConvTemp(const dl::CnnArchitecture& arch, int layer_index,
-                      dl::Precision precision, bool materialized) {
+}  // namespace
+
+int64_t ConvTempBytes(const dl::CnnArchitecture& arch, int layer_index,
+                      dl::Precision precision) {
   if (layer_index < 0 || layer_index >= arch.num_layers()) return 0;
   Shape in = layer_index == 0 ? arch.input_shape()
                               : arch.layer(layer_index - 1).output_shape;
   const bool int8 = precision == dl::Precision::kInt8;
   int64_t peak = 0;
   for (const dl::OpSpec& op : arch.layer_spec(layer_index).ops) {
-    peak = std::max(peak, OpConvTempBytes(op, in, int8, materialized));
+    peak = std::max(peak, OpConvTempBytes(op, in, int8));
     auto stat = dl::AnalyzeOp(op, in);
     if (!stat.ok()) break;  // Built architectures never hit this.
     in = stat->output_shape;
   }
   return peak;
-}
-
-}  // namespace
-
-int64_t ConvTempBytes(const dl::CnnArchitecture& arch, int layer_index,
-                      dl::Precision precision) {
-  return LayerConvTemp(arch, layer_index, precision, /*materialized=*/false);
-}
-
-int64_t ConvIm2ColTempBytes(const dl::CnnArchitecture& arch, int layer_index,
-                            dl::Precision precision) {
-  return LayerConvTemp(arch, layer_index, precision, /*materialized=*/true);
 }
 
 int64_t LayerFeatureBytes(const dl::CnnArchitecture& arch, int layer_index,
@@ -194,17 +173,12 @@ Result<SizeEstimates> EstimateSizes(const RosterEntry& entry,
 
   // Eq. 16 Temp term: staged inference runs every logical layer from the
   // image through max(L), so the per-thread conv scratch high-water is the
-  // max over that range — implicit-GEMM packed panels on the hot path,
-  // with the legacy materialized-im2col figure alongside for A/B
-  // accounting and the footprint-reduction ratio.
+  // max over that range (implicit-GEMM packed panels).
   const int max_layer =
       *std::max_element(workload.layers.begin(), workload.layers.end());
   for (int l = 0; l <= max_layer; ++l) {
     est.conv_temp_bytes = std::max(
         est.conv_temp_bytes, ConvTempBytes(entry.arch, l, workload.precision));
-    est.conv_temp_im2col_bytes =
-        std::max(est.conv_temp_im2col_bytes,
-                 ConvIm2ColTempBytes(entry.arch, l, workload.precision));
   }
 
   est.s_single = *std::max_element(est.t_i_bytes.begin(),

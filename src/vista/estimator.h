@@ -53,11 +53,6 @@ struct SizeEstimates {
   /// workload's precision — the packed GEMM panels of the implicit-GEMM
   /// conv path. Multiply by the thread count for a per-node figure.
   int64_t conv_temp_bytes = 0;
-  /// The same walk under the legacy materialized-im2col conv path (full
-  /// patch-matrix expansion + panels, plus the int8 staging copy). Kept
-  /// for A/B accounting (OptimizerParams::materialized_im2col) and as the
-  /// footprint-reduction denominator the benches report.
-  int64_t conv_temp_im2col_bytes = 0;
 };
 
 /// Fudge factor for the blowup of binary feature vectors as managed-heap
@@ -86,13 +81,6 @@ int64_t LayerFeatureBytes(const dl::CnnArchitecture& arch, int layer_index,
 /// return 0.
 int64_t ConvTempBytes(const dl::CnnArchitecture& arch, int layer_index,
                       dl::Precision precision = dl::Precision::kFp32);
-
-/// The same walk under the legacy materialized-im2col path: the full
-/// C/g*k^2 x H_out*W_out expansion (plus the quantize staging copy for
-/// int8) on top of the packed panels — what Temp accounting charged before
-/// the conv kernels went implicit.
-int64_t ConvIm2ColTempBytes(const dl::CnnArchitecture& arch, int layer_index,
-                            dl::Precision precision = dl::Precision::kFp32);
 
 /// Downstream-model memory footprint |M|_mem: proportional to the total
 /// feature dimensionality (structured + the largest pooled CNN layer in L),

@@ -65,11 +65,6 @@ Status RealExecutorConfig::Validate() const {
       fmt_raw > static_cast<int>(df::PersistenceFormat::kSerialized)) {
     return Status::InvalidArgument("persistence format out of range");
   }
-  const int par_raw = static_cast<int>(inference_parallelism);
-  if (par_raw < static_cast<int>(dl::CnnParallelism::kInterImage) ||
-      par_raw > static_cast<int>(dl::CnnParallelism::kIntraImage)) {
-    return Status::InvalidArgument("inference_parallelism out of range");
-  }
   const int prec_raw = static_cast<int>(precision);
   if (prec_raw < static_cast<int>(dl::Precision::kFp32) ||
       prec_raw > static_cast<int>(dl::Precision::kInt8)) {
@@ -195,12 +190,11 @@ Result<df::Table> RealExecutor::RunInference(const PlanStep& step,
   *flops += per_record_flops * input.num_records();
 
   // Inference threading: the engine already runs partitions in parallel;
-  // within a partition the pool is spent per the config knob (one task per
-  // image, or parallel GEMM row tiles inside each image). ParallelFor is
+  // within a partition the pool runs one task per image. ParallelFor is
   // caller-inclusive, so this nesting cannot deadlock.
   dl::CnnOptions opts;
   opts.pool = engine_->pool();
-  opts.parallelism = config.inference_parallelism;
+  opts.parallelism = dl::CnnParallelism::kInterImage;
   opts.precision = config.precision;
 
   df::MemoryManager& memory = engine_->memory();
@@ -622,9 +616,7 @@ Result<RealRunResult> RealExecutor::RunOnce(const CompiledPlan& plan,
             });
   run.total_seconds = total_watch.ElapsedSeconds();
   run.engine_stats = engine_->stats();
-  run.scratch_peak_bytes = run.engine_stats.scratch_peak_bytes;
   run.recovery = run.engine_stats.recovery;
-  run.integrity = run.engine_stats.integrity;
   run.shuffle_ms = engine_->metrics().histogram("engine.shuffle_ms")->sum();
   run.serialize_ms =
       engine_->metrics().histogram("engine.serialize_ms")->sum();

@@ -35,13 +35,6 @@ struct RealExecutorConfig {
   ml::DecisionTreeConfig tree;
   /// Driver collect budget (-1 = unlimited).
   int64_t driver_memory_bytes = -1;
-  /// How inference spends the engine's threads *within* one partition, on
-  /// top of the engine's partition-level parallelism: one pool task per
-  /// image (kInterImage, the throughput default) or pool-parallel GEMM row
-  /// tiles inside each image (kIntraImage, better for tiny batches with
-  /// huge layers). Interacts with the optimizer's cpu knob — see
-  /// DESIGN.md, "Kernel layer".
-  dl::CnnParallelism inference_parallelism = dl::CnnParallelism::kInterImage;
   /// Inference precision for every kInference step this executor runs.
   /// kInt8 routes conv/fc primitives through the quantized GEMM kernel and
   /// materializes features that are exactly 1/4 the fp32 bytes; it requires
@@ -113,11 +106,6 @@ struct RealRunResult {
   /// per-layer breakdown accrues into the "dl.int8_ops.*" counters, which
   /// EngineStats::dl_int8_ops mirrors.
   int64_t inference_int8_ops = 0;
-  /// Process-wide kernel-scratch high-water mark (packed GEMM panels) at
-  /// run end — a copy of engine_stats.scratch_peak_bytes hoisted up: the
-  /// measured DL-execution Temp footprint to compare against
-  /// SizeEstimates::conv_temp_bytes.
-  int64_t scratch_peak_bytes = 0;
   df::EngineStats engine_stats;
   /// Degradation-ladder steps taken before the run completed (empty for a
   /// clean first-attempt run), e.g. "persistence: deserialized -> serialized".
@@ -125,11 +113,6 @@ struct RealRunResult {
   /// Recovery counters for this executor's engine (retries, lineage
   /// recomputations, injected faults) plus the degradations taken above.
   RecoveryStats recovery;
-  /// Verify-on-read outcomes for this executor's engine (blocks checked,
-  /// checksum mismatches, torn writes, corruption-triggered recomputes) —
-  /// a copy of engine_stats.integrity hoisted up for callers that only
-  /// read the summary.
-  IntegrityStats integrity;
   /// Wall seconds per pipeline stage ("read", "join", "inference",
   /// "persistence", "train"), aggregated from the stage spans below — the
   /// paper's Table 3 drill-down measured on the real executor.

@@ -57,27 +57,6 @@ TEST(MatMulTest, RejectsBadShapes) {
   EXPECT_FALSE(MatMul(Tensor(Shape{4}), Tensor(Shape{4, 2})).ok());
 }
 
-TEST(Im2ColTest, UnitKernelIsReshape) {
-  Tensor input(Shape{2, 2, 2}, {1, 2, 3, 4, 5, 6, 7, 8});
-  auto cols = Im2Col(input, 1, 1, 0, 1);
-  ASSERT_TRUE(cols.ok());
-  EXPECT_EQ(cols->shape(), (Shape{1, 2, 4}));
-  for (int64_t i = 0; i < 8; ++i) {
-    EXPECT_FLOAT_EQ(cols->at(i), static_cast<float>(i + 1));
-  }
-}
-
-TEST(Im2ColTest, PaddingZeroFills) {
-  Tensor input = Tensor::Full(Shape{1, 2, 2}, 1.0f);
-  auto cols = Im2Col(input, 3, 1, 1, 1);
-  ASSERT_TRUE(cols.ok());
-  // 3x3 kernel over a padded 2x2: center patch entries present, corners 0.
-  EXPECT_EQ(cols->shape(), (Shape{1, 9, 4}));
-  float sum = 0;
-  for (int64_t i = 0; i < cols->num_elements(); ++i) sum += cols->at(i);
-  EXPECT_FLOAT_EQ(sum, 16.0f);  // Each of 4 input pixels appears 4 times.
-}
-
 // Differential testing: the GEMM path must agree with the direct loops on
 // random configurations, including strides, padding, and groups.
 struct ConvCase {
@@ -198,14 +177,13 @@ TEST(MatMulTest, ReferenceOracleHasNoZeroSkip) {
 
 // The fused-ReLU epilogue must agree exactly with conv-then-ReLU: the
 // arithmetic is identical, only the output pass is fused away.
-TEST(Conv2DGemmExTest, FusedReluMatchesSeparateRelu) {
+TEST(Conv2DGemmTest, FusedReluMatchesSeparateRelu) {
   Rng rng(42);
   Tensor input = Tensor::RandomGaussian(Shape{6, 12, 12}, &rng);
   Tensor w = Tensor::RandomGaussian(Shape{9, 2, 3, 3}, &rng);
   Tensor b = Tensor::RandomGaussian(Shape{9}, &rng);
   auto plain = Conv2DGemm(input, w, b, 1, 1, 3);
-  auto fused = Conv2DGemmEx(input, w, b, 1, 1, 3, /*relu=*/true,
-                            /*pool=*/nullptr);
+  auto fused = Conv2DGemm(input, w, b, 1, 1, 3, /*relu=*/true);
   ASSERT_TRUE(plain.ok());
   ASSERT_TRUE(fused.ok());
   Tensor expected = Relu(*plain);

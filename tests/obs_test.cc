@@ -2,12 +2,14 @@
 // exporters, and the end-to-end wiring through the engine and RealExecutor.
 
 #include <algorithm>
+#include <cmath>
 #include <map>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/random.h"
 #include "common/thread_pool.h"
 #include "dl/model_zoo.h"
 #include "features/synthetic.h"
@@ -63,6 +65,39 @@ TEST(MetricsTest, HistogramBucketsAndStats) {
   // Quantiles are bucket approximations; just pin the bracketing bucket.
   EXPECT_LE(h->Quantile(0.5), 10.0);
   EXPECT_GT(h->Quantile(0.99), 10.0);
+}
+
+// Checks min <= p50 <= p95 <= p99 <= max on one histogram.
+void ExpectQuantilesOrderedWithinRange(const obs::Histogram& h) {
+  const double p50 = h.Quantile(0.50);
+  const double p95 = h.Quantile(0.95);
+  const double p99 = h.Quantile(0.99);
+  EXPECT_LE(h.min_value(), p50);
+  EXPECT_LE(p50, p95);
+  EXPECT_LE(p95, p99);
+  EXPECT_LE(p99, h.max_value());
+}
+
+TEST(MetricsTest, QuantilesStayOrderedWithinRecordedRange) {
+  for (uint64_t seed = 1; seed <= 50; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng(seed);
+    const int n = 1 + static_cast<int>(rng.NextUint64(200));
+    // Spread over the default buckets, including both overflow ends:
+    // log-uniform from 1 us to 100 s.
+    obs::Registry spread_registry;
+    obs::Histogram* spread = spread_registry.histogram("spread");
+    for (int i = 0; i < n; ++i) {
+      spread->Record(std::pow(10.0, rng.NextDouble(-3.0, 5.0)));
+    }
+    ExpectQuantilesOrderedWithinRange(*spread);
+    // Single bucket, samples crowded at the top of (0.25, 0.5]: linear
+    // interpolation from the bucket's lower bound lands below the minimum.
+    obs::Registry single_registry;
+    obs::Histogram* single = single_registry.histogram("single");
+    for (int i = 0; i < n; ++i) single->Record(rng.NextDouble(0.42, 0.5));
+    ExpectQuantilesOrderedWithinRange(*single);
+  }
 }
 
 TEST(MetricsTest, ConcurrentUpdatesAreExact) {

@@ -317,7 +317,7 @@ TEST(Conv2DGemmInt8Test, GridAlignedInputMatchesFp32Exactly) {
   const float in_scale = SymmetricScale(MaxAbs(input.data(),
                                                input.num_elements()));
   ASSERT_EQ(in_scale, act_step);
-  auto ref = Conv2DGemmEx(input, w, bias, 1, 1, 1, false, nullptr);
+  auto ref = Conv2D(input, w, bias, 1, 1, 1);
   ASSERT_TRUE(ref.ok());
   auto got = Conv2DGemmInt8(input, *qw, bias, 1, 1, 1, false, in_scale,
                             nullptr);
@@ -336,8 +336,9 @@ TEST(Conv2DGemmInt8Test, GroupedConvMatchesFp32OnGrid) {
   const float in_scale = SymmetricScale(MaxAbs(input.data(),
                                                input.num_elements()));
   ASSERT_EQ(in_scale, act_step);
-  auto ref = Conv2DGemmEx(input, w, bias, 2, 1, 2, true, nullptr);
+  auto ref = Conv2D(input, w, bias, 2, 1, 2);
   ASSERT_TRUE(ref.ok());
+  *ref = Relu(*ref);
   auto got = Conv2DGemmInt8(input, *qw, bias, 2, 1, 2, true, in_scale,
                             nullptr);
   ASSERT_TRUE(got.ok());
@@ -355,7 +356,7 @@ TEST(Conv2DGemmInt8Test, RandomInputErrorBoundedByQuantizationStep) {
   ASSERT_TRUE(qw.ok());
   const float act_scale = SymmetricScale(MaxAbs(input.data(),
                                                 input.num_elements()));
-  auto ref = Conv2DGemmEx(input, w, bias, 1, 1, 1, false, nullptr);
+  auto ref = Conv2D(input, w, bias, 1, 1, 1);
   ASSERT_TRUE(ref.ok());
   auto got = Conv2DGemmInt8(input, *qw, bias, 1, 1, 1, false, act_scale,
                             nullptr);
