@@ -266,7 +266,8 @@ Result<int64_t> ShuffleJoinStage(
 /// time. Nothing overlaps.
 Status PersistSync(const std::vector<std::vector<Record>>& partitions,
                    const std::string& spill_dir) {
-  df::SpillManager spill(spill_dir);
+  obs::Registry metrics;  // Outlives the manager, which reports into it.
+  df::SpillManager spill(spill_dir, metrics);
   for (size_t i = 0; i < partitions.size(); ++i) {
     std::vector<uint8_t> blob;
     for (const Record& r : partitions[i]) {

@@ -1,7 +1,6 @@
 #include "common/checksum.h"
 
 #include <cstring>
-#include <sstream>
 
 namespace vista {
 namespace {
@@ -120,15 +119,6 @@ bool Crc32cIsHardwareAccelerated() {
 #else
   return false;
 #endif
-}
-
-std::string IntegrityStats::ToString() const {
-  std::ostringstream os;
-  os << "verified=" << blocks_verified
-     << " checksum_failures=" << checksum_failures
-     << " torn_writes=" << torn_writes_detected
-     << " recomputes=" << recomputes_triggered;
-  return os.str();
 }
 
 }  // namespace vista

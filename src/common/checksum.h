@@ -3,7 +3,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <string>
 
 namespace vista {
 
@@ -31,8 +30,8 @@ uint32_t Crc32cExtend(uint32_t crc, const void* data, size_t size);
 /// tests can force-compare both paths and benches can report which ran).
 bool Crc32cIsHardwareAccelerated();
 
-/// Data-integrity counters threaded from the obs registry ("integrity.*"
-/// instruments) into EngineStats and RealRunResult, next to RecoveryStats.
+/// Data-integrity counters read from the obs registry ("integrity.*"
+/// instruments) into EngineStats, next to RecoveryStats.
 /// The invariant the corruption-chaos suite pins: under injected faults,
 /// checksum_failures equals the number of corrupt blocks read back, and
 /// every failure either triggered a lineage recompute (recomputes_triggered)
@@ -49,14 +48,6 @@ struct IntegrityStats {
   /// Lineage recomputations triggered specifically by kDataLoss (corrupt
   /// data), as opposed to lost/unreadable blocks.
   int64_t recomputes_triggered = 0;
-
-  void Merge(const IntegrityStats& other) {
-    blocks_verified += other.blocks_verified;
-    checksum_failures += other.checksum_failures;
-    torn_writes_detected += other.torn_writes_detected;
-    recomputes_triggered += other.recomputes_triggered;
-  }
-  std::string ToString() const;
 };
 
 }  // namespace vista

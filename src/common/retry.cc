@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <sstream>
 #include <thread>
 
 namespace vista {
@@ -47,13 +46,6 @@ void SleepForBackoff(const RetryPolicy& policy, uint64_t key, int attempt) {
   const double ms = BackoffMs(policy, key, attempt);
   if (ms <= 0) return;
   std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(ms));
-}
-
-std::string RecoveryStats::ToString() const {
-  std::ostringstream os;
-  os << "retries " << retries << ", recomputed " << recomputed_partitions
-     << ", injected " << injected_faults << ", degradations " << degradations;
-  return os.str();
 }
 
 Status RunWithRetry(const RetryPolicy& policy, uint64_t key,

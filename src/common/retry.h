@@ -4,7 +4,6 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
-#include <string>
 
 #include "common/status.h"
 
@@ -52,9 +51,8 @@ double BackoffMs(const RetryPolicy& policy, uint64_t key, int attempt);
 /// sleeping.
 void SleepForBackoff(const RetryPolicy& policy, uint64_t key, int attempt);
 
-/// Counters describing how much recovery work a run performed. Threaded
-/// from SpillManager/Engine up through EngineStats and RealRunResult so
-/// tests and benches can assert on recovery behavior.
+/// Counters describing how much recovery work an engine performed, read
+/// into EngineStats so tests and benches can assert on recovery behavior.
 struct RecoveryStats {
   /// Failed attempts that were retried (tasks, shuffle reads, spill I/O).
   int64_t retries = 0;
@@ -62,16 +60,6 @@ struct RecoveryStats {
   int64_t recomputed_partitions = 0;
   /// Faults the FaultInjector actually fired.
   int64_t injected_faults = 0;
-  /// Plan-degradation steps taken by the executor.
-  int64_t degradations = 0;
-
-  void Merge(const RecoveryStats& other) {
-    retries += other.retries;
-    recomputed_partitions += other.recomputed_partitions;
-    injected_faults += other.injected_faults;
-    degradations += other.degradations;
-  }
-  std::string ToString() const;
 };
 
 /// Runs `fn` under `policy`: up to max_attempts tries, sleeping the
@@ -80,23 +68,6 @@ struct RecoveryStats {
 Status RunWithRetry(const RetryPolicy& policy, uint64_t key,
                     const std::function<Status()>& fn,
                     std::atomic<int64_t>* retries = nullptr);
-
-/// Result-returning variant of RunWithRetry.
-template <typename T>
-Result<T> RunResultWithRetry(const RetryPolicy& policy, uint64_t key,
-                             const std::function<Result<T>()>& fn,
-                             std::atomic<int64_t>* retries = nullptr) {
-  for (int attempt = 0;; ++attempt) {
-    Result<T> result = fn();
-    if (result.ok()) return result;
-    if (attempt + 1 >= policy.max_attempts ||
-        !IsRetryable(policy, result.status())) {
-      return result;
-    }
-    if (retries != nullptr) retries->fetch_add(1);
-    SleepForBackoff(policy, key, attempt);
-  }
-}
 
 }  // namespace vista
 

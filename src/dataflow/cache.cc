@@ -3,22 +3,20 @@
 namespace vista::df {
 
 StorageCache::StorageCache(MemoryManager* memory, SpillManager* spill,
-                           bool allow_spill, FaultInjector* injector,
-                           obs::Registry* metrics)
+                           bool allow_spill, obs::Registry& metrics,
+                           FaultInjector* injector)
     : memory_(memory),
       spill_(spill),
       allow_spill_(allow_spill),
       injector_(injector) {
-  if (metrics != nullptr) {
-    c_inserts_ = metrics->counter("cache.inserts");
-    c_read_hits_ = metrics->counter("cache.read_hits");
-    c_read_misses_ = metrics->counter("cache.read_misses");
-    c_fault_ins_ = metrics->counter("cache.fault_ins");
-    c_evictions_ = metrics->counter("cache.evictions");
-    c_blocks_verified_ = metrics->counter("integrity.blocks_verified");
-    c_checksum_failures_ = metrics->counter("integrity.checksum_failures");
-    g_resident_bytes_ = metrics->gauge("cache.resident_bytes");
-  }
+  c_inserts_ = metrics.counter("cache.inserts");
+  c_read_hits_ = metrics.counter("cache.read_hits");
+  c_read_misses_ = metrics.counter("cache.read_misses");
+  c_fault_ins_ = metrics.counter("cache.fault_ins");
+  c_evictions_ = metrics.counter("cache.evictions");
+  c_blocks_verified_ = metrics.counter("integrity.blocks_verified");
+  c_checksum_failures_ = metrics.counter("integrity.checksum_failures");
+  g_resident_bytes_ = metrics.gauge("cache.resident_bytes");
 }
 
 Status StorageCache::EvictUntilAvailable(int64_t bytes) {
@@ -52,10 +50,8 @@ Status StorageCache::EvictUntilAvailable(int64_t bytes) {
     VISTA_RETURN_IF_ERROR(spill_->WriteAsync(entry.key, std::move(blob)));
     victim->Evict();
     memory_->Release(MemoryRegion::kStorage, entry.charged_bytes);
-    if (c_evictions_ != nullptr) {
-      c_evictions_->Add(1);
-      g_resident_bytes_->Add(-entry.charged_bytes);
-    }
+    c_evictions_->Add(1);
+    g_resident_bytes_->Add(-entry.charged_bytes);
     entry.charged_bytes = 0;
     lru_.pop_back();
     entry.in_lru = false;
@@ -87,10 +83,8 @@ Status StorageCache::Insert(const std::shared_ptr<Partition>& partition) {
       entry.lru_it = lru_.begin();
       entry.in_lru = true;
       entries_.emplace(partition.get(), std::move(entry));
-      if (c_inserts_ != nullptr) {
-        c_inserts_->Add(1);
-        g_resident_bytes_->Add(bytes);
-      }
+      c_inserts_->Add(1);
+      g_resident_bytes_->Add(bytes);
       return Status::OK();
     }
     avail = reserve;
@@ -101,7 +95,7 @@ Status StorageCache::Insert(const std::shared_ptr<Partition>& partition) {
   VISTA_RETURN_IF_ERROR(spill_->WriteAsync(entry.key, std::move(blob)));
   partition->Evict();
   entries_.emplace(partition.get(), std::move(entry));
-  if (c_inserts_ != nullptr) c_inserts_->Add(1);
+  c_inserts_->Add(1);
   return Status::OK();
 }
 
@@ -123,10 +117,8 @@ Status StorageCache::FaultIn(Entry* entry) {
   lru_.push_front(p);
   entry->lru_it = lru_.begin();
   entry->in_lru = true;
-  if (c_fault_ins_ != nullptr) {
-    c_fault_ins_->Add(1);
-    g_resident_bytes_->Add(bytes);
-  }
+  c_fault_ins_->Add(1);
+  g_resident_bytes_->Add(bytes);
   return Status::OK();
 }
 
@@ -136,11 +128,7 @@ Status StorageCache::VerifyResident(const Partition& partition) {
     return Status::OK();  // No serialized blob to check.
   }
   Status st = partition.VerifyBlob();
-  if (st.ok()) {
-    if (c_blocks_verified_ != nullptr) c_blocks_verified_->Add(1);
-  } else {
-    if (c_checksum_failures_ != nullptr) c_checksum_failures_->Add(1);
-  }
+  (st.ok() ? c_blocks_verified_ : c_checksum_failures_)->Add(1);
   return st;
 }
 
@@ -156,13 +144,13 @@ Result<std::vector<Record>> StorageCache::ReadThrough(
   Entry& entry = it->second;
   if (!partition->resident()) {
     // A managed read that has to go to disk is the cache's miss case.
-    if (c_read_misses_ != nullptr) c_read_misses_->Add(1);
+    c_read_misses_->Add(1);
     VISTA_RETURN_IF_ERROR(FaultIn(&entry));
   } else if (entry.in_lru) {
     lru_.erase(entry.lru_it);
     lru_.push_front(partition.get());
     entry.lru_it = lru_.begin();
-    if (c_read_hits_ != nullptr) c_read_hits_->Add(1);
+    c_read_hits_->Add(1);
   }
   // Verify the serialized representation (restored from disk or long
   // resident) before ReadRecords header-scans and decodes it.
@@ -190,9 +178,7 @@ void StorageCache::Remove(const std::shared_ptr<Partition>& partition) {
   Entry& entry = it->second;
   if (entry.in_lru) lru_.erase(entry.lru_it);
   memory_->Release(MemoryRegion::kStorage, entry.charged_bytes);
-  if (g_resident_bytes_ != nullptr && entry.charged_bytes > 0) {
-    g_resident_bytes_->Add(-entry.charged_bytes);
-  }
+  if (entry.charged_bytes > 0) g_resident_bytes_->Add(-entry.charged_bytes);
   spill_->Remove(entry.key);
   entries_.erase(it);
 }

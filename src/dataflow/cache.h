@@ -25,14 +25,13 @@ namespace vista::df {
 /// exactly the paper's Eager-on-Ignite crash mode.
 class StorageCache {
  public:
-  /// `injector` (optional, may be null) lets seeded transient memory
-  /// spikes reject inserts: Insert returns Unavailable, which the engine's
-  /// retry policy treats as retryable — unlike a genuine budget violation.
-  /// `metrics` (optional) receives "cache.*" counters and a resident-bytes
-  /// gauge; both must outlive the cache when given.
+  /// `metrics` receives "cache.*" counters, a resident-bytes gauge and
+  /// the shared "integrity.*" counters. `injector` (optional, may be null)
+  /// lets seeded transient memory spikes reject inserts: Insert returns
+  /// Unavailable, which the engine's retry policy treats as retryable —
+  /// unlike a genuine budget violation. Both must outlive the cache.
   StorageCache(MemoryManager* memory, SpillManager* spill, bool allow_spill,
-               FaultInjector* injector = nullptr,
-               obs::Registry* metrics = nullptr);
+               obs::Registry& metrics, FaultInjector* injector = nullptr);
 
   StorageCache(const StorageCache&) = delete;
   StorageCache& operator=(const StorageCache&) = delete;
@@ -91,7 +90,7 @@ class StorageCache {
   SpillManager* spill_;
   bool allow_spill_;
   FaultInjector* injector_;
-  /// Obs instruments; all null when no registry was given.
+  /// Registry instruments, resolved once in the constructor.
   obs::Counter* c_inserts_ = nullptr;
   obs::Counter* c_read_hits_ = nullptr;
   obs::Counter* c_read_misses_ = nullptr;

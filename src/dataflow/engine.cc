@@ -6,7 +6,6 @@
 
 #include "common/flat_map.h"
 #include "common/logging.h"
-#include "tensor/scratch.h"
 
 namespace vista::df {
 namespace {
@@ -99,7 +98,7 @@ bool AllSerializedResident(const Table& table) {
 /// the blob sizes — exact, and free to measure.
 Status ScanWireSources(ThreadPool* pool, FaultInjector* injector,
                        const RetryPolicy& policy,
-                       std::atomic<int64_t>* task_retries, const Table& table,
+                       obs::Counter* c_task_retries, const Table& table,
                        uint64_t op, int side, int num_destinations,
                        const char* what, WireSourceBuckets* buckets_out,
                        int64_t* wire_bytes_out,
@@ -123,11 +122,11 @@ Status ScanWireSources(ThreadPool* pool, FaultInjector* injector,
     // falls back to the record path, where lineage recomputation applies.
     Status verified = table.partitions[i]->VerifyBlob();
     if (!verified.ok()) {
-      if (c_checksum_failures != nullptr) c_checksum_failures->Add(1);
+      c_checksum_failures->Add(1);
       statuses[i] = verified;
       return;
     }
-    if (c_blocks_verified != nullptr) c_blocks_verified->Add(1);
+    c_blocks_verified->Add(1);
     // An injected shuffle fault models a lost block: the whole source is
     // re-scanned on retry, mirroring ReadPartitionWithRetry.
     std::vector<WireRef> refs;
@@ -153,7 +152,7 @@ Status ScanWireSources(ThreadPool* pool, FaultInjector* injector,
         statuses[i] = st;
         return;
       }
-      task_retries->fetch_add(1);
+      c_task_retries->Add(1);
       SleepForBackoff(policy, unit, attempt);
     }
     std::vector<std::vector<WireRef>>& dest = buckets[i];
@@ -234,20 +233,21 @@ Engine::Engine(EngineConfig config) : config_(std::move(config)) {
   c_blocks_verified_ = metrics_->counter("integrity.blocks_verified");
   c_checksum_failures_ = metrics_->counter("integrity.checksum_failures");
   c_recomputes_ = metrics_->counter("integrity.recomputes_triggered");
+  c_task_retries_ = metrics_->counter("engine.task_retries");
+  c_recomputed_partitions_ = metrics_->counter("engine.recomputed_partitions");
   if (config_.spill_dir.empty()) {
     config_.spill_dir =
         "/tmp/vista_spill_" + std::to_string(::getpid()) + "_" +
         std::to_string(reinterpret_cast<uintptr_t>(this));
   }
-  spill_ = std::make_unique<SpillManager>(config_.spill_dir);
+  spill_ = std::make_unique<SpillManager>(config_.spill_dir, *metrics_);
   spill_->set_fault_injector(injector_.get());
   spill_->set_retry_policy(config_.retry);
-  spill_->set_metrics(metrics_);
   spill_->set_prefetch_capacity(
       std::max(config_.prefetch_queue_capacity, config_.prefetch_depth));
   cache_ = std::make_unique<StorageCache>(memory_.get(), spill_.get(),
-                                          config_.allow_spill,
-                                          injector_.get(), metrics_);
+                                          config_.allow_spill, *metrics_,
+                                          injector_.get());
   pool_ = std::make_unique<ThreadPool>(config_.num_workers *
                                        config_.cpus_per_worker);
 }
@@ -285,13 +285,8 @@ EngineStats Engine::stats() const {
       s.dl_int8_ops += c->value();
     }
   }
-  // Kernel-scratch footprint: refresh the gauge from the process-wide
-  // high-water mark so the registry and the stats snapshot agree.
-  obs::Gauge* g_scratch = metrics_->gauge("scratch.peak_bytes");
-  g_scratch->Set(KernelScratch::GlobalPeakBytes());
-  s.scratch_peak_bytes = g_scratch->value();
-  s.recovery.retries = task_retries_.load() + spill_->io_retries();
-  s.recovery.recomputed_partitions = recomputed_partitions_.load();
+  s.recovery.retries = c_task_retries_->value() + spill_->io_retries();
+  s.recovery.recomputed_partitions = c_recomputed_partitions_->value();
   s.recovery.injected_faults = injector_->total_injected();
   s.integrity.blocks_verified = c_blocks_verified_->value();
   s.integrity.checksum_failures = c_checksum_failures_->value();
@@ -360,7 +355,7 @@ Result<std::vector<Record>> Engine::ReadPartition(
                          ReadPartition(lineage->parent));
   VISTA_ASSIGN_OR_RETURN(std::vector<Record> rebuilt,
                          lineage->fn(std::move(parent_records)));
-  recomputed_partitions_.fetch_add(1);
+  c_recomputed_partitions_->Add(1);
   if (from_corruption) c_recomputes_->Add(1);
   return rebuilt;
 }
@@ -380,7 +375,7 @@ Result<std::vector<Record>> Engine::ReadPartitionWithRetry(
     if (attempt + 1 >= policy.max_attempts || !IsRetryable(policy, st)) {
       return st;
     }
-    task_retries_.fetch_add(1);
+    c_task_retries_->Add(1);
     SleepForBackoff(policy, unit, attempt);
   }
 }
@@ -428,7 +423,7 @@ Result<Table> Engine::MapPartitions(const Table& input,
         statuses[i] = st;
         return;
       }
-      task_retries_.fetch_add(1);
+      c_task_retries_->Add(1);
       SleepForBackoff(policy, unit, attempt);
     }
   });
@@ -501,7 +496,7 @@ Result<Table> Engine::Repartition(const Table& input, int num_partitions) {
     WireSourceBuckets sources;
     int64_t wire_bytes = 0;
     Status scanned = ScanWireSources(
-        pool_.get(), injector_.get(), config_.retry, &task_retries_, input,
+        pool_.get(), injector_.get(), config_.retry, c_task_retries_, input,
         op, 0, num_partitions, "repartition read", &sources, &wire_bytes,
         c_blocks_verified_, c_checksum_failures_);
     if (scanned.ok()) {
@@ -718,11 +713,11 @@ Result<Table> Engine::SerializedShuffleJoin(const Table& left,
   WireSourceBuckets left_sources;
   WireSourceBuckets right_sources;
   VISTA_RETURN_IF_ERROR(ScanWireSources(
-      pool_.get(), injector_.get(), config_.retry, &task_retries_, left, op,
+      pool_.get(), injector_.get(), config_.retry, c_task_retries_, left, op,
       0, np, "shuffle send (left)", &left_sources, &wire_bytes,
       c_blocks_verified_, c_checksum_failures_));
   VISTA_RETURN_IF_ERROR(ScanWireSources(
-      pool_.get(), injector_.get(), config_.retry, &task_retries_, right, op,
+      pool_.get(), injector_.get(), config_.retry, c_task_retries_, right, op,
       1, np, "shuffle send (right)", &right_sources, &wire_bytes,
       c_blocks_verified_, c_checksum_failures_));
   c_shuffle_bytes_->Add(wire_bytes);
@@ -897,10 +892,12 @@ Status Engine::Persist(Table* table, PersistenceFormat format) {
     // Transient memory spikes (injected in the cache) reject individual
     // insert attempts with Unavailable; retry them. Genuine budget
     // violations are ResourceExhausted and fail through immediately.
-    VISTA_RETURN_IF_ERROR(RunWithRetry(
+    std::atomic<int64_t> retries{0};
+    Status inserted = RunWithRetry(
         config_.retry, ShuffleTaskUnit(op, 0, static_cast<int64_t>(i)),
-        [&] { return cache_->Insert(table->partitions[i]); },
-        &task_retries_));
+        [&] { return cache_->Insert(table->partitions[i]); }, &retries);
+    c_task_retries_->Add(retries.load());
+    VISTA_RETURN_IF_ERROR(inserted);
   }
   // Ordered flush: async spill-write failures fail the Persist that
   // caused them, not some unrelated later operation.

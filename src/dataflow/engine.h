@@ -106,7 +106,10 @@ struct EngineConfig {
   /// Metrics/trace sinks for the engine and its spill/cache components.
   /// Null → the engine creates and owns private instances (tests stay
   /// isolated); benches inject shared ones to aggregate several engines
-  /// into one exported profile.
+  /// into one exported profile. Engine::stats() reads the registry, so
+  /// with a shared registry it reports the aggregate of every engine
+  /// sharing it — except recovery.injected_faults, which stays per engine
+  /// because each engine's FaultInjector owns it.
   obs::Registry* metrics = nullptr;
   obs::TraceCollector* tracer = nullptr;
 };
@@ -148,15 +151,9 @@ struct EngineStats {
   /// on the quantized int8 kernel (0 unless some run used int8 precision).
   int64_t dl_flops = 0;
   int64_t dl_int8_ops = 0;
-  /// Process-wide high-water mark of the kernel scratch arenas (packed
-  /// GEMM panels across every thread; the im2col slot only when the
-  /// explicit reference conv ran) — KernelScratch::GlobalPeakBytes()
-  /// mirrored through the "scratch.peak_bytes" gauge. This is the
-  /// measured DL-execution Temp footprint that the estimator's
-  /// ConvTempBytes predicts.
-  int64_t scratch_peak_bytes = 0;
-  /// Retries, lineage recomputations, and injected faults since engine
-  /// construction (degradations are filled in by the executor layer).
+  /// Retries ("engine.task_retries" + "spill.io_retries"), lineage
+  /// recomputations ("engine.recomputed_partitions"), and this engine's
+  /// injected faults since construction.
   RecoveryStats recovery;
   /// Verify-on-read outcomes, read from the shared "integrity.*"
   /// instruments: every durable/serialized block checked before re-entering
@@ -343,8 +340,10 @@ class Engine {
   obs::Counter* c_blocks_verified_ = nullptr;
   obs::Counter* c_checksum_failures_ = nullptr;
   obs::Counter* c_recomputes_ = nullptr;
-  std::atomic<int64_t> task_retries_{0};
-  std::atomic<int64_t> recomputed_partitions_{0};
+  /// Retried task/shuffle-read/persist-insert attempts and partitions
+  /// rebuilt from lineage (any cause); feed EngineStats::recovery.
+  obs::Counter* c_task_retries_ = nullptr;
+  obs::Counter* c_recomputed_partitions_ = nullptr;
   std::atomic<uint64_t> op_seq_{1};
 };
 

@@ -61,11 +61,29 @@ void FlipFileBit(const std::string& path, uint64_t offset, int bit) {
 
 }  // namespace
 
-SpillManager::SpillManager(std::string dir, int async_queue_capacity)
+SpillManager::SpillManager(std::string dir, obs::Registry& metrics,
+                           int async_queue_capacity)
     : dir_(std::move(dir)),
       queue_capacity_(async_queue_capacity < 1
                           ? 1
                           : static_cast<size_t>(async_queue_capacity)) {
+  c_writes_ = metrics.counter("spill.writes");
+  c_reads_ = metrics.counter("spill.reads");
+  c_bytes_written_ = metrics.counter("spill.bytes_written");
+  c_bytes_read_ = metrics.counter("spill.bytes_read");
+  c_retries_ = metrics.counter("spill.io_retries");
+  c_blocks_verified_ = metrics.counter("integrity.blocks_verified");
+  c_checksum_failures_ = metrics.counter("integrity.checksum_failures");
+  c_torn_writes_ = metrics.counter("integrity.torn_writes_detected");
+  c_pf_requests_ = metrics.counter("prefetch.requests");
+  c_pf_hits_ = metrics.counter("prefetch.hits");
+  c_pf_claimed_ = metrics.counter("prefetch.claimed");
+  c_pf_dropped_ = metrics.counter("prefetch.dropped");
+  c_pf_corrupt_dropped_ = metrics.counter("prefetch.corrupt_dropped");
+  h_write_ms_ = metrics.histogram("spill.write_ms");
+  h_read_ms_ = metrics.histogram("spill.read_ms");
+  g_queue_depth_ = metrics.gauge("spill.queue_depth");
+  g_pf_queue_depth_ = metrics.gauge("prefetch.queue_depth");
   std::error_code ec;
   fs::create_directories(dir_, ec);
 }
@@ -109,27 +127,6 @@ void SpillManager::set_prefetch_memory(MemoryManager* memory,
   std::lock_guard<std::mutex> lock(pf_mu_);
   pf_memory_ = memory;
   pf_region_ = region;
-}
-
-void SpillManager::set_metrics(obs::Registry* metrics) {
-  if (metrics == nullptr) return;
-  c_writes_ = metrics->counter("spill.writes");
-  c_reads_ = metrics->counter("spill.reads");
-  c_bytes_written_ = metrics->counter("spill.bytes_written");
-  c_bytes_read_ = metrics->counter("spill.bytes_read");
-  c_retries_ = metrics->counter("spill.io_retries");
-  c_blocks_verified_ = metrics->counter("integrity.blocks_verified");
-  c_checksum_failures_ = metrics->counter("integrity.checksum_failures");
-  c_torn_writes_ = metrics->counter("integrity.torn_writes_detected");
-  c_pf_requests_ = metrics->counter("prefetch.requests");
-  c_pf_hits_ = metrics->counter("prefetch.hits");
-  c_pf_claimed_ = metrics->counter("prefetch.claimed");
-  c_pf_dropped_ = metrics->counter("prefetch.dropped");
-  c_pf_corrupt_dropped_ = metrics->counter("prefetch.corrupt_dropped");
-  h_write_ms_ = metrics->histogram("spill.write_ms");
-  h_read_ms_ = metrics->histogram("spill.read_ms");
-  g_queue_depth_ = metrics->gauge("spill.queue_depth");
-  g_pf_queue_depth_ = metrics->gauge("prefetch.queue_depth");
 }
 
 std::string SpillManager::PathFor(int64_t key) const {
@@ -221,8 +218,7 @@ Status SpillManager::WriteWithRetry(int64_t key,
     if (attempt + 1 >= retry_.max_attempts || !IsRetryable(retry_, st)) {
       return st;
     }
-    io_retries_.fetch_add(1);
-    if (c_retries_ != nullptr) c_retries_->Add(1);
+    c_retries_->Add(1);
     SleepForBackoff(retry_, static_cast<uint64_t>(key), attempt);
   }
 
@@ -254,12 +250,8 @@ Status SpillManager::WriteWithRetry(int64_t key,
     std::lock_guard<std::mutex> lock(qmu_);
     failed_keys_.erase(key);
   }
-  bytes_written_.fetch_add(static_cast<int64_t>(blob.size()));
-  num_spills_.fetch_add(1);
-  if (c_writes_ != nullptr) {
-    c_writes_->Add(1);
-    c_bytes_written_->Add(static_cast<int64_t>(blob.size()));
-  }
+  c_writes_->Add(1);
+  c_bytes_written_->Add(static_cast<int64_t>(blob.size()));
   return Status::OK();
 }
 
@@ -284,9 +276,7 @@ Status SpillManager::WriteAsync(int64_t key, std::vector<uint8_t> blob) {
   // cannot run unboundedly ahead of the disk.
   space_cv_.wait(lock, [&] { return queue_.size() < queue_capacity_; });
   queue_.push_back(PendingWrite{key, std::move(blob)});
-  if (g_queue_depth_ != nullptr) {
-    g_queue_depth_->Set(static_cast<int64_t>(queue_.size()));
-  }
+  g_queue_depth_->Set(static_cast<int64_t>(queue_.size()));
   work_cv_.notify_one();
   return Status::OK();
 }
@@ -302,9 +292,7 @@ void SpillManager::WriterLoop() {
       queue_.pop_front();
       writing_ = true;
       writing_key_ = item.key;
-      if (g_queue_depth_ != nullptr) {
-        g_queue_depth_->Set(static_cast<int64_t>(queue_.size()));
-      }
+      g_queue_depth_->Set(static_cast<int64_t>(queue_.size()));
       space_cv_.notify_all();
     }
     Status st = WriteWithRetry(item.key, item.blob);
@@ -351,37 +339,37 @@ Status SpillManager::Flush() {
 
 int64_t SpillManager::bytes_written() const {
   WaitDrained();
-  return bytes_written_.load();
+  return c_bytes_written_->value();
 }
 
 int64_t SpillManager::bytes_read() const {
   WaitDrained();
-  return bytes_read_.load();
+  return c_bytes_read_->value();
 }
 
 int64_t SpillManager::num_spills() const {
   WaitDrained();
-  return num_spills_.load();
+  return c_writes_->value();
 }
 
 int64_t SpillManager::io_retries() const {
   WaitDrained();
-  return io_retries_.load();
+  return c_retries_->value();
 }
 
 int64_t SpillManager::blocks_verified() const {
   WaitDrained();
-  return blocks_verified_.load();
+  return c_blocks_verified_->value();
 }
 
 int64_t SpillManager::checksum_failures() const {
   WaitDrained();
-  return checksum_failures_.load();
+  return c_checksum_failures_->value();
 }
 
 int64_t SpillManager::torn_writes_detected() const {
   WaitDrained();
-  return torn_writes_.load();
+  return c_torn_writes_->value();
 }
 
 Result<std::vector<uint8_t>> SpillManager::ReadFileBytes(
@@ -454,12 +442,9 @@ Result<std::vector<uint8_t>> SpillManager::Read(int64_t key) {
             break;
           }
         }
-        if (g_pf_queue_depth_ != nullptr) {
-          g_pf_queue_depth_->Set(static_cast<int64_t>(pf_queue_.size()));
-        }
+        g_pf_queue_depth_->Set(static_cast<int64_t>(pf_queue_.size()));
         EraseSlotLocked(key);
-        pf_claimed_.fetch_add(1);
-        if (c_pf_claimed_ != nullptr) c_pf_claimed_->Add(1);
+        c_pf_claimed_->Add(1);
       } else {
         pf_state_cv_.wait(lock, [&] {
           auto s = pf_slots_.find(key);
@@ -472,20 +457,14 @@ Result<std::vector<uint8_t>> SpillManager::Read(int64_t key) {
           std::vector<uint8_t> payload = std::move(s->second.payload);
           EraseSlotLocked(key);
           if (st.ok()) {
-            pf_hits_.fetch_add(1);
-            if (c_pf_hits_ != nullptr) c_pf_hits_->Add(1);
+            c_pf_hits_->Add(1);
             return payload;
           }
           // The prefetched block was corrupt or unreadable: drop it and
           // surface the same error the sync path would have — kDataLoss
           // routes to lineage recomputation upstream, with integrity
           // counters already bumped exactly once by the reader.
-          if (st.IsDataLoss()) {
-            pf_corrupt_dropped_.fetch_add(1);
-            if (c_pf_corrupt_dropped_ != nullptr) {
-              c_pf_corrupt_dropped_->Add(1);
-            }
-          }
+          if (st.IsDataLoss()) c_pf_corrupt_dropped_->Add(1);
           return st;
         }
         // Slot vanished (invalidated mid-read): fall through to sync.
@@ -536,21 +515,13 @@ Result<std::vector<uint8_t>> SpillManager::ReadVerifiedWithRetry(
       auto block = DecodeBlockFrame(file->data(), file->size(),
                                     static_cast<int64_t>(entry.seq), &defect);
       if (block.ok()) {
-        blocks_verified_.fetch_add(1);
-        if (c_blocks_verified_ != nullptr) c_blocks_verified_->Add(1);
-        bytes_read_.fetch_add(entry.payload_bytes);
-        if (c_reads_ != nullptr) {
-          c_reads_->Add(1);
-          c_bytes_read_->Add(entry.payload_bytes);
-        }
+        c_blocks_verified_->Add(1);
+        c_reads_->Add(1);
+        c_bytes_read_->Add(entry.payload_bytes);
         return std::move(block->payload);
       }
-      checksum_failures_.fetch_add(1);
-      if (c_checksum_failures_ != nullptr) c_checksum_failures_->Add(1);
-      if (IsTornWriteDefect(defect)) {
-        torn_writes_.fetch_add(1);
-        if (c_torn_writes_ != nullptr) c_torn_writes_->Add(1);
-      }
+      c_checksum_failures_->Add(1);
+      if (IsTornWriteDefect(defect)) c_torn_writes_->Add(1);
       st = Status::DataLoss("spill block for key " + std::to_string(key) +
                             " failed verification: " +
                             block.status().message());
@@ -560,16 +531,12 @@ Result<std::vector<uint8_t>> SpillManager::ReadVerifiedWithRetry(
     if (attempt + 1 >= retry_.max_attempts || !IsRetryable(retry_, st)) {
       return st;
     }
-    io_retries_.fetch_add(1);
-    if (c_retries_ != nullptr) c_retries_->Add(1);
+    c_retries_->Add(1);
     SleepForBackoff(retry_, static_cast<uint64_t>(key), attempt);
   }
 }
 
-void SpillManager::CountPrefetchDrop() {
-  pf_dropped_.fetch_add(1);
-  if (c_pf_dropped_ != nullptr) c_pf_dropped_->Add(1);
-}
+void SpillManager::CountPrefetchDrop() { c_pf_dropped_->Add(1); }
 
 void SpillManager::EraseSlotLocked(int64_t key) {
   auto it = pf_slots_.find(key);
@@ -601,9 +568,7 @@ void SpillManager::InvalidatePrefetch(int64_t key) {
         break;
       }
     }
-    if (g_pf_queue_depth_ != nullptr) {
-      g_pf_queue_depth_->Set(static_cast<int64_t>(pf_queue_.size()));
-    }
+    g_pf_queue_depth_->Set(static_cast<int64_t>(pf_queue_.size()));
   }
   CountPrefetchDrop();
   EraseSlotLocked(key);
@@ -655,11 +620,8 @@ void SpillManager::Prefetch(int64_t key) {
   slot.charged_bytes = charged;
   pf_slots_.emplace(key, std::move(slot));
   pf_queue_.push_back(key);
-  pf_requests_.fetch_add(1);
-  if (c_pf_requests_ != nullptr) c_pf_requests_->Add(1);
-  if (g_pf_queue_depth_ != nullptr) {
-    g_pf_queue_depth_->Set(static_cast<int64_t>(pf_queue_.size()));
-  }
+  c_pf_requests_->Add(1);
+  g_pf_queue_depth_->Set(static_cast<int64_t>(pf_queue_.size()));
   pf_work_cv_.notify_one();
 }
 
@@ -673,9 +635,7 @@ void SpillManager::ReaderLoop() {
       if (pf_queue_.empty()) return;  // Shutdown with a drained queue.
       key = pf_queue_.front();
       pf_queue_.pop_front();
-      if (g_pf_queue_depth_ != nullptr) {
-        g_pf_queue_depth_->Set(static_cast<int64_t>(pf_queue_.size()));
-      }
+      g_pf_queue_depth_->Set(static_cast<int64_t>(pf_queue_.size()));
       auto it = pf_slots_.find(key);
       if (it == pf_slots_.end()) continue;  // Claimed back meanwhile.
       it->second.state = PrefetchSlot::kReading;

@@ -1,7 +1,6 @@
 #ifndef VISTA_DATAFLOW_SPILL_H_
 #define VISTA_DATAFLOW_SPILL_H_
 
-#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
@@ -85,9 +84,16 @@ namespace vista::df {
 class SpillManager {
  public:
   /// `dir` is created if missing; files are removed on destruction.
-  /// `async_queue_capacity` bounds the writer queue (backpressure beyond
-  /// it): 2 gives classic double buffering.
-  explicit SpillManager(std::string dir, int async_queue_capacity = 2);
+  /// Counters and I/O latency histograms report into `metrics` ("spill.*"
+  /// and "prefetch.*" instruments, resolved once here), as do the
+  /// "spill.queue_depth" / "prefetch.queue_depth" gauges (their max_value
+  /// is the high-water mark — > 0 proves the I/O actually overlapped) and
+  /// the shared "integrity.*" verification counters. `metrics` must
+  /// outlive the manager: the writer thread bumps counters until the
+  /// destructor joins it. `async_queue_capacity` bounds the writer queue
+  /// (backpressure beyond it): 2 gives classic double buffering.
+  SpillManager(std::string dir, obs::Registry& metrics,
+               int async_queue_capacity = 2);
   ~SpillManager();
 
   SpillManager(const SpillManager&) = delete;
@@ -97,14 +103,6 @@ class SpillManager {
   /// manager. Null disables injection.
   void set_fault_injector(FaultInjector* injector) { injector_ = injector; }
   void set_retry_policy(const RetryPolicy& policy) { retry_ = policy; }
-
-  /// Reports spill counters and I/O latency histograms into `metrics`
-  /// ("spill.*" instruments, resolved once here), plus a
-  /// "spill.queue_depth" gauge tracking the async queue (its max_value is
-  /// the high-water mark — > 0 proves serialization and disk I/O actually
-  /// overlapped) and the shared "integrity.*" verification counters. Null
-  /// disables reporting; the registry must outlive the manager.
-  void set_metrics(obs::Registry* metrics);
 
   /// Persists `blob` under `key` (overwrites any previous spill of `key`,
   /// bumping the key's block generation). Short writes and flush/fsync/
@@ -157,30 +155,35 @@ class SpillManager {
   /// the file. Also clears the key's async-error latch.
   void Remove(int64_t key);
 
-  /// Counters. Accessors first drain any in-flight async writes so callers
-  /// always observe settled totals. Byte counters meter payload bytes
-  /// (frame overhead excluded), so they stay comparable across format
-  /// versions.
-  int64_t bytes_written() const;
-  int64_t bytes_read() const;
-  int64_t num_spills() const;
-  /// Failed spill I/O attempts that were retried.
+  /// Counters, read from the registry instruments named alongside. They
+  /// total every component reporting into that registry, so with a shared
+  /// registry they aggregate over all managers. Accessors first drain any
+  /// in-flight async writes so callers always observe settled totals. Byte
+  /// counters meter payload bytes (frame overhead excluded), so they stay
+  /// comparable across format versions.
+  int64_t bytes_written() const;  // "spill.bytes_written"
+  int64_t bytes_read() const;     // "spill.bytes_read"
+  int64_t num_spills() const;     // "spill.writes"
+  /// Failed spill I/O attempts that were retried ("spill.io_retries").
   int64_t io_retries() const;
-  /// Verify-on-read outcomes (also exported as "integrity.*" metrics).
+  /// Verify-on-read outcomes. These read the shared "integrity.*"
+  /// counters, which the engine, StorageCache and FeatureViewCache bump
+  /// too; they are this manager's own only under a registry it alone
+  /// reports into.
   int64_t blocks_verified() const;
   int64_t checksum_failures() const;
   int64_t torn_writes_detected() const;
-  /// Prefetch-plane outcomes (also exported as "prefetch.*" metrics):
-  /// accepted hints, reads served from a prefetched outcome, still-queued
-  /// hints claimed back by a sync read, hints/slots dropped unconsumed,
-  /// and prefetched blocks that failed verification (dropped; the read
-  /// surfaces kDataLoss exactly like the sync path, so lineage heals it).
-  int64_t prefetch_requests() const { return pf_requests_.load(); }
-  int64_t prefetch_hits() const { return pf_hits_.load(); }
-  int64_t prefetch_claimed() const { return pf_claimed_.load(); }
-  int64_t prefetch_dropped() const { return pf_dropped_.load(); }
+  /// Prefetch-plane outcomes ("prefetch.*"): accepted hints, reads served
+  /// from a prefetched outcome, still-queued hints claimed back by a sync
+  /// read, hints/slots dropped unconsumed, and prefetched blocks that
+  /// failed verification (dropped; the read surfaces kDataLoss exactly
+  /// like the sync path, so lineage heals it).
+  int64_t prefetch_requests() const { return c_pf_requests_->value(); }
+  int64_t prefetch_hits() const { return c_pf_hits_->value(); }
+  int64_t prefetch_claimed() const { return c_pf_claimed_->value(); }
+  int64_t prefetch_dropped() const { return c_pf_dropped_->value(); }
   int64_t prefetch_corrupt_dropped() const {
-    return pf_corrupt_dropped_.load();
+    return c_pf_corrupt_dropped_->value();
   }
 
  private:
@@ -250,13 +253,6 @@ class SpillManager {
   RetryPolicy retry_;
   std::mutex mu_;
   std::unordered_map<int64_t, SpillEntry> entries_;
-  std::atomic<int64_t> bytes_written_{0};
-  std::atomic<int64_t> bytes_read_{0};
-  std::atomic<int64_t> num_spills_{0};
-  std::atomic<int64_t> io_retries_{0};
-  std::atomic<int64_t> blocks_verified_{0};
-  std::atomic<int64_t> checksum_failures_{0};
-  std::atomic<int64_t> torn_writes_{0};
 
   /// Async writer state, all guarded by qmu_. The writer thread starts
   /// lazily on the first WriteAsync and is joined in the destructor (after
@@ -294,13 +290,8 @@ class SpillManager {
   bool pf_shutdown_ = false;
   MemoryManager* pf_memory_ = nullptr;
   MemoryRegion pf_region_ = MemoryRegion::kStorage;
-  std::atomic<int64_t> pf_requests_{0};
-  std::atomic<int64_t> pf_hits_{0};
-  std::atomic<int64_t> pf_claimed_{0};
-  std::atomic<int64_t> pf_dropped_{0};
-  std::atomic<int64_t> pf_corrupt_dropped_{0};
 
-  /// Obs instruments; all null until set_metrics is called.
+  /// Registry instruments, resolved once in the constructor.
   obs::Counter* c_writes_ = nullptr;
   obs::Counter* c_reads_ = nullptr;
   obs::Counter* c_bytes_written_ = nullptr;

@@ -93,13 +93,14 @@ FeatureTransferService::FeatureTransferService(df::Engine* engine,
     : engine_(engine), config_(std::move(config)) {
   obs::Registry& metrics = engine_->metrics();
   view_cache_ = std::make_unique<FeatureViewCache>(
-      &engine_->memory(), config_.view_cache_bytes, &metrics);
+      &engine_->memory(), metrics, config_.view_cache_bytes);
   c_queries_ = metrics.counter("serve.queries");
   c_completed_ = metrics.counter("serve.queries_completed");
   c_failed_ = metrics.counter("serve.queries_failed");
   c_cache_hits_ = metrics.counter("serve.cache_hits");
   c_rejects_ = metrics.counter("serve.admission_rejects");
   c_deadline_rejects_ = metrics.counter("serve.deadline_rejects");
+  c_view_evictions_ = metrics.counter("serve.view_cache.evictions");
   h_query_ms_ = metrics.histogram("serve.query_ms");
   h_queue_ms_ = metrics.histogram("serve.queue_ms");
   g_queue_depth_ = metrics.gauge("serve.queue_depth");
@@ -458,7 +459,6 @@ void FeatureTransferService::Shutdown() {
 }
 
 ServiceStats FeatureTransferService::stats() const {
-  const obs::Registry& metrics = engine_->metrics();
   ServiceStats s;
   s.queries_submitted = c_queries_->value();
   s.queries_completed = c_completed_->value();
@@ -468,13 +468,7 @@ ServiceStats FeatureTransferService::stats() const {
   s.deadline_rejects = c_deadline_rejects_->value();
   s.p50_latency_ms = h_query_ms_->Quantile(0.5);
   s.p99_latency_ms = h_query_ms_->Quantile(0.99);
-  // The view cache registers into the same registry; const access goes
-  // through the snapshot interface.
-  for (const obs::Counter* counter : metrics.counters()) {
-    if (counter->name() == "serve.view_cache.evictions") {
-      s.view_cache_evictions = counter->value();
-    }
-  }
+  s.view_cache_evictions = c_view_evictions_->value();
   s.view_cache_resident_bytes = view_cache_->resident_bytes();
   return s;
 }

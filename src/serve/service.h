@@ -241,6 +241,8 @@ class FeatureTransferService {
   obs::Counter* c_cache_hits_ = nullptr;
   obs::Counter* c_rejects_ = nullptr;
   obs::Counter* c_deadline_rejects_ = nullptr;
+  /// Bumped by the view cache, which reports into the same registry.
+  obs::Counter* c_view_evictions_ = nullptr;
   obs::Histogram* h_query_ms_ = nullptr;
   obs::Histogram* h_queue_ms_ = nullptr;
   obs::Gauge* g_queue_depth_ = nullptr;

@@ -65,21 +65,19 @@ Result<uint64_t> DatasetFingerprint(const df::Table& table) {
 }
 
 FeatureViewCache::FeatureViewCache(df::MemoryManager* memory,
-                                   int64_t capacity_bytes,
-                                   obs::Registry* metrics)
+                                   obs::Registry& metrics,
+                                   int64_t capacity_bytes)
     : memory_(memory), capacity_bytes_(capacity_bytes) {
-  if (metrics != nullptr) {
-    c_hits_ = metrics->counter("serve.view_cache.hits");
-    c_misses_ = metrics->counter("serve.view_cache.misses");
-    c_inserts_ = metrics->counter("serve.view_cache.inserts");
-    c_evictions_ = metrics->counter("serve.view_cache.evictions");
-    c_insert_overflows_ = metrics->counter("serve.view_cache.overflows");
-    c_corrupt_drops_ = metrics->counter("serve.view_cache.corrupt_drops");
-    c_blocks_verified_ = metrics->counter("integrity.blocks_verified");
-    c_checksum_failures_ = metrics->counter("integrity.checksum_failures");
-    g_resident_bytes_ = metrics->gauge("serve.view_cache.resident_bytes");
-    g_views_ = metrics->gauge("serve.view_cache.views");
-  }
+  c_hits_ = metrics.counter("serve.view_cache.hits");
+  c_misses_ = metrics.counter("serve.view_cache.misses");
+  c_inserts_ = metrics.counter("serve.view_cache.inserts");
+  c_evictions_ = metrics.counter("serve.view_cache.evictions");
+  c_insert_overflows_ = metrics.counter("serve.view_cache.overflows");
+  c_corrupt_drops_ = metrics.counter("serve.view_cache.corrupt_drops");
+  c_blocks_verified_ = metrics.counter("integrity.blocks_verified");
+  c_checksum_failures_ = metrics.counter("integrity.checksum_failures");
+  g_resident_bytes_ = metrics.gauge("serve.view_cache.resident_bytes");
+  g_views_ = metrics.gauge("serve.view_cache.views");
 }
 
 FeatureViewCache::~FeatureViewCache() { Clear(); }
@@ -108,9 +106,9 @@ std::optional<MaterializedView> FeatureViewCache::Lookup(
       if (p->resident() &&
           p->format() == df::PersistenceFormat::kSerialized) {
         if (p->VerifyBlob().ok()) {
-          if (c_blocks_verified_ != nullptr) c_blocks_verified_->Add(1);
+          c_blocks_verified_->Add(1);
         } else {
-          if (c_checksum_failures_ != nullptr) c_checksum_failures_->Add(1);
+          c_checksum_failures_->Add(1);
           intact = false;
         }
       }
@@ -118,21 +116,17 @@ std::optional<MaterializedView> FeatureViewCache::Lookup(
     if (!intact) {
       memory_->Release(df::MemoryRegion::kStorage, it->second.charged_bytes);
       charged_total_ -= it->second.charged_bytes;
-      if (c_corrupt_drops_ != nullptr) c_corrupt_drops_->Add(1);
-      if (g_resident_bytes_ != nullptr) {
-        g_resident_bytes_->Add(-it->second.charged_bytes);
-      }
+      c_corrupt_drops_->Add(1);
+      g_resident_bytes_->Add(-it->second.charged_bytes);
       entries_.erase(it);
-      if (g_views_ != nullptr) {
-        g_views_->Set(static_cast<int64_t>(entries_.size()));
-      }
+      g_views_->Set(static_cast<int64_t>(entries_.size()));
       continue;
     }
     it->second.last_use = ++use_seq_;
-    if (c_hits_ != nullptr) c_hits_->Add(1);
+    c_hits_->Add(1);
     return it->second.view;
   }
-  if (c_misses_ != nullptr) c_misses_->Add(1);
+  c_misses_->Add(1);
   return std::nullopt;
 }
 
@@ -157,14 +151,10 @@ bool FeatureViewCache::MakeRoom(int64_t bytes) {
     memory_->Release(df::MemoryRegion::kStorage,
                      victim->second.charged_bytes);
     charged_total_ -= victim->second.charged_bytes;
-    if (c_evictions_ != nullptr) c_evictions_->Add(1);
-    if (g_resident_bytes_ != nullptr) {
-      g_resident_bytes_->Add(-victim->second.charged_bytes);
-    }
+    c_evictions_->Add(1);
+    g_resident_bytes_->Add(-victim->second.charged_bytes);
     entries_.erase(victim);
-    if (g_views_ != nullptr) {
-      g_views_->Set(static_cast<int64_t>(entries_.size()));
-    }
+    g_views_->Set(static_cast<int64_t>(entries_.size()));
   }
 }
 
@@ -177,13 +167,13 @@ bool FeatureViewCache::Insert(const std::string& model, uint64_t fingerprint,
                 view.layer};
   if (entries_.count(key) > 0) return true;  // Raced duplicate; keep first.
   if (!MakeRoom(bytes)) {
-    if (c_insert_overflows_ != nullptr) c_insert_overflows_->Add(1);
+    c_insert_overflows_->Add(1);
     return false;
   }
   if (!memory_->TryReserve(df::MemoryRegion::kStorage, bytes).ok()) {
     // Lost a race against another Storage consumer between the headroom
     // check and the reserve; treat as overflow rather than failing.
-    if (c_insert_overflows_ != nullptr) c_insert_overflows_->Add(1);
+    c_insert_overflows_->Add(1);
     return false;
   }
   Entry entry;
@@ -193,11 +183,9 @@ bool FeatureViewCache::Insert(const std::string& model, uint64_t fingerprint,
   entry.last_use = ++use_seq_;
   charged_total_ += bytes;
   entries_.emplace(key, std::move(entry));
-  if (c_inserts_ != nullptr) c_inserts_->Add(1);
-  if (g_resident_bytes_ != nullptr) g_resident_bytes_->Add(bytes);
-  if (g_views_ != nullptr) {
-    g_views_->Set(static_cast<int64_t>(entries_.size()));
-  }
+  c_inserts_->Add(1);
+  g_resident_bytes_->Add(bytes);
+  g_views_->Set(static_cast<int64_t>(entries_.size()));
   return true;
 }
 
@@ -205,13 +193,11 @@ void FeatureViewCache::Clear() {
   std::lock_guard<std::mutex> lock(mu_);
   for (auto& [key, entry] : entries_) {
     memory_->Release(df::MemoryRegion::kStorage, entry.charged_bytes);
-    if (g_resident_bytes_ != nullptr) {
-      g_resident_bytes_->Add(-entry.charged_bytes);
-    }
+    g_resident_bytes_->Add(-entry.charged_bytes);
   }
   charged_total_ = 0;
   entries_.clear();
-  if (g_views_ != nullptr) g_views_->Set(0);
+  g_views_->Set(0);
 }
 
 int64_t FeatureViewCache::num_views() const {

@@ -50,12 +50,12 @@ struct MaterializedView {
 /// inference — happens outside).
 class FeatureViewCache {
  public:
+  /// `metrics` receives "serve.view_cache.*" instruments and the shared
+  /// "integrity.*" counters; it and `memory` must outlive the cache.
   /// `capacity_bytes` additionally caps the cache's own footprint below
   /// the Storage budget (-1: bounded by the Storage region alone).
-  /// `metrics` (optional) receives "serve.view_cache.*" instruments; both
-  /// pointers must outlive the cache.
-  FeatureViewCache(df::MemoryManager* memory, int64_t capacity_bytes = -1,
-                   obs::Registry* metrics = nullptr);
+  FeatureViewCache(df::MemoryManager* memory, obs::Registry& metrics,
+                   int64_t capacity_bytes = -1);
   ~FeatureViewCache();
 
   FeatureViewCache(const FeatureViewCache&) = delete;

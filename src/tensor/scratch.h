@@ -69,9 +69,8 @@ class KernelScratch {
   int64_t peak_bytes() const { return peak_bytes_; }
 
   /// Process-wide aggregates over every arena (all threads): bytes
-  /// currently held, and the high-water mark of that total. Mirrored into
-  /// obs as the "scratch.peak_bytes" gauge and surfaced through
-  /// EngineStats so the kernel Temp footprint is observable.
+  /// currently held, and the high-water mark of that total — the single
+  /// source of the measured kernel Temp footprint.
   static int64_t TotalBytes();
   static int64_t GlobalPeakBytes();
 

@@ -615,11 +615,6 @@ Result<RealRunResult> RealExecutor::RunOnce(const CompiledPlan& plan,
               return a.layer_index < b.layer_index;
             });
   run.total_seconds = total_watch.ElapsedSeconds();
-  run.engine_stats = engine_->stats();
-  run.recovery = run.engine_stats.recovery;
-  run.shuffle_ms = engine_->metrics().histogram("engine.shuffle_ms")->sum();
-  run.serialize_ms =
-      engine_->metrics().histogram("engine.serialize_ms")->sum();
   run.spans = engine_->tracer().SpansSince(span_mark);
   run.stage_seconds = obs::AggregateSpanSeconds(run.spans, "stage");
   return run;
@@ -655,8 +650,6 @@ Result<RealRunResult> RealExecutor::Run(const CompiledPlan& plan,
     auto result = RunOnce(current, workload, t_str, t_img, cfg);
     if (result.ok()) {
       result->degradations = degradations;
-      result->recovery.degradations =
-          static_cast<int64_t>(degradations.size());
       return result;
     }
     if (!result.status().IsResourceExhausted()) return result;

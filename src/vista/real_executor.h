@@ -95,7 +95,9 @@ struct LayerRunResult {
   double test_f1 = 0;
 };
 
-/// Outcome of executing a compiled plan end to end.
+/// Outcome of executing a compiled plan end to end. Engine counters
+/// (shuffle, spill, cache, recovery) are not copied here: they live in the
+/// engine's registry, read through Engine::stats().
 struct RealRunResult {
   std::vector<LayerRunResult> per_layer;
   double total_seconds = 0;
@@ -106,13 +108,9 @@ struct RealRunResult {
   /// per-layer breakdown accrues into the "dl.int8_ops.*" counters, which
   /// EngineStats::dl_int8_ops mirrors.
   int64_t inference_int8_ops = 0;
-  df::EngineStats engine_stats;
   /// Degradation-ladder steps taken before the run completed (empty for a
   /// clean first-attempt run), e.g. "persistence: deserialized -> serialized".
   std::vector<std::string> degradations;
-  /// Recovery counters for this executor's engine (retries, lineage
-  /// recomputations, injected faults) plus the degradations taken above.
-  RecoveryStats recovery;
   /// Wall seconds per pipeline stage ("read", "join", "inference",
   /// "persistence", "train"), aggregated from the stage spans below — the
   /// paper's Table 3 drill-down measured on the real executor.
@@ -121,13 +119,6 @@ struct RealRunResult {
   /// when auto-degradation re-ran the plan). Feed to obs::ProfileJson or
   /// obs::ChromeTraceJson to export.
   std::vector<obs::Span> spans;
-  /// Data-movement-plane timings from the engine's histograms: total
-  /// wall-clock of shuffle-moving ops (Join/Repartition/Union) and of
-  /// per-partition serialization inside Persist. Cumulative over the
-  /// engine's lifetime, so across degraded re-runs on one engine these
-  /// include all attempts.
-  double shuffle_ms = 0;
-  double serialize_ms = 0;
 };
 
 /// Executes compiled plans on the local dataflow engine with a real CNN —

@@ -123,7 +123,8 @@ TEST(PartitionTest, EvictAndRestore) {
 // ------------------------------------------------------------------ Spill.
 
 TEST(SpillManagerTest, WriteReadRemove) {
-  SpillManager spill("/tmp/vista_test_spill_a");
+  obs::Registry metrics;
+  SpillManager spill("/tmp/vista_test_spill_a", metrics);
   std::vector<uint8_t> blob = {1, 2, 3, 4, 5};
   ASSERT_TRUE(spill.Write(7, blob).ok());
   EXPECT_EQ(spill.bytes_written(), 5);
@@ -136,7 +137,8 @@ TEST(SpillManagerTest, WriteReadRemove) {
 }
 
 TEST(SpillManagerTest, MissingKeyIsNotFound) {
-  SpillManager spill("/tmp/vista_test_spill_b");
+  obs::Registry metrics;
+  SpillManager spill("/tmp/vista_test_spill_b", metrics);
   EXPECT_TRUE(spill.Read(99).status().IsNotFound());
 }
 
@@ -146,8 +148,9 @@ TEST(StorageCacheTest, EvictsLruToDiskUnderPressure) {
   MemoryBudgets budgets;
   budgets.storage = 2500;
   MemoryManager mem(budgets);
-  SpillManager spill("/tmp/vista_test_spill_c");
-  StorageCache cache(&mem, &spill, /*allow_spill=*/true);
+  obs::Registry metrics;
+  SpillManager spill("/tmp/vista_test_spill_c", metrics);
+  StorageCache cache(&mem, &spill, /*allow_spill=*/true, metrics);
 
   std::vector<std::shared_ptr<Partition>> parts;
   for (int i = 0; i < 6; ++i) {
@@ -171,8 +174,9 @@ TEST(StorageCacheTest, MemoryOnlyModeCrashes) {
   MemoryBudgets budgets;
   budgets.storage = 2000;
   MemoryManager mem(budgets);
-  SpillManager spill("/tmp/vista_test_spill_d");
-  StorageCache cache(&mem, &spill, /*allow_spill=*/false);
+  obs::Registry metrics;
+  SpillManager spill("/tmp/vista_test_spill_d", metrics);
+  StorageCache cache(&mem, &spill, /*allow_spill=*/false, metrics);
 
   Status last = Status::OK();
   for (int i = 0; i < 10 && last.ok(); ++i) {
@@ -185,8 +189,9 @@ TEST(StorageCacheTest, RemoveReleasesMemory) {
   MemoryBudgets budgets;
   budgets.storage = 100000;
   MemoryManager mem(budgets);
-  SpillManager spill("/tmp/vista_test_spill_e");
-  StorageCache cache(&mem, &spill, true);
+  obs::Registry metrics;
+  SpillManager spill("/tmp/vista_test_spill_e", metrics);
+  StorageCache cache(&mem, &spill, true, metrics);
   auto p = std::make_shared<Partition>(MakeRecords(10));
   ASSERT_TRUE(cache.Insert(p).ok());
   EXPECT_GT(mem.Used(MemoryRegion::kStorage), 0);
@@ -198,9 +203,9 @@ TEST(StorageCacheTest, ExportsCountersThroughRegistry) {
   MemoryBudgets budgets;
   budgets.storage = 2500;
   MemoryManager mem(budgets);
-  SpillManager spill("/tmp/vista_test_spill_f");
   obs::Registry metrics;
-  StorageCache cache(&mem, &spill, /*allow_spill=*/true, nullptr, &metrics);
+  SpillManager spill("/tmp/vista_test_spill_f", metrics);
+  StorageCache cache(&mem, &spill, /*allow_spill=*/true, metrics);
 
   std::vector<std::shared_ptr<Partition>> parts;
   for (int i = 0; i < 6; ++i) {

@@ -5,7 +5,6 @@
 
 #include "common/random.h"
 #include "common/thread_pool.h"
-#include "dataflow/engine.h"
 #include "dl/model_zoo.h"
 #include "tensor/gemm.h"
 #include "tensor/gemm_kernel.h"
@@ -229,23 +228,7 @@ TEST(ImplicitConvScratchTest, ConvTempBytesMatchesMeasuredPeak) {
                    h_out * w_out, GemmEpilogue{}, &arena);
   }
   EXPECT_EQ(arena.peak_bytes(), ConvTempBytes(*arch, 0));
-}
-
-// Satellite: the scratch high-water is observable end to end — the
-// "scratch.peak_bytes" gauge mirrored into EngineStats matches the
-// process-wide arena aggregate.
-TEST(ImplicitConvScratchTest, EngineStatsMirrorGlobalPeak) {
-  Rng rng(3);
-  Tensor input = Tensor::RandomGaussian(Shape{8, 12, 12}, &rng);
-  Tensor w = Tensor::RandomGaussian(Shape{8, 8, 3, 3}, &rng);
-  Tensor b(Shape{8});
-  ASSERT_TRUE(Conv2DGemm(input, w, b, 1, 1).ok());
   EXPECT_GT(KernelScratch::GlobalPeakBytes(), 0);
-  df::EngineConfig config;
-  config.cpus_per_worker = 1;
-  df::Engine engine(config);
-  df::EngineStats s = engine.stats();
-  EXPECT_EQ(s.scratch_peak_bytes, KernelScratch::GlobalPeakBytes());
 }
 
 }  // namespace

@@ -183,7 +183,8 @@ RetryPolicy FastRetries(int max_attempts) {
 }
 
 TEST(SpillIntegrityTest, CleanRoundTripWritesFramedBlocks) {
-  df::SpillManager spill(FreshSpillDir("clean"));
+  obs::Registry metrics;
+  df::SpillManager spill(FreshSpillDir("clean"), metrics);
   const std::vector<uint8_t> blob = PatternPayload(200);
   ASSERT_TRUE(spill.Write(3, blob).ok());
   // The on-disk file is a framed block, not the raw payload.
@@ -206,7 +207,8 @@ TEST(SpillIntegrityTest, CleanRoundTripWritesFramedBlocks) {
 }
 
 TEST(SpillIntegrityTest, InjectedBitFlipIsCaughtOnRead) {
-  df::SpillManager spill(FreshSpillDir("flip"));
+  obs::Registry metrics;
+  df::SpillManager spill(FreshSpillDir("flip"), metrics);
   FaultInjectorConfig config;
   config.spill_bit_flip_rate = 1.0;
   FaultInjector injector(config);
@@ -226,7 +228,8 @@ TEST(SpillIntegrityTest, InjectedBitFlipIsCaughtOnRead) {
 }
 
 TEST(SpillIntegrityTest, InjectedTornWriteIsCaughtOnRead) {
-  df::SpillManager spill(FreshSpillDir("torn"));
+  obs::Registry metrics;
+  df::SpillManager spill(FreshSpillDir("torn"), metrics);
   FaultInjectorConfig config;
   config.spill_torn_write_rate = 1.0;
   FaultInjector injector(config);
@@ -243,7 +246,8 @@ TEST(SpillIntegrityTest, InjectedTornWriteIsCaughtOnRead) {
 }
 
 TEST(SpillIntegrityTest, InjectedStaleReadBackIsCaughtBySequenceCheck) {
-  df::SpillManager spill(FreshSpillDir("stale"));
+  obs::Registry metrics;
+  df::SpillManager spill(FreshSpillDir("stale"), metrics);
   FaultInjectorConfig config;
   config.spill_stale_read_rate = 1.0;
   FaultInjector injector(config);
@@ -269,7 +273,8 @@ TEST(SpillIntegrityTest, InjectedStaleReadBackIsCaughtBySequenceCheck) {
 }
 
 TEST(SpillIntegrityTest, EnospcFailsTheWriteUpFrontAndRetries) {
-  df::SpillManager spill(FreshSpillDir("enospc"));
+  obs::Registry metrics;
+  df::SpillManager spill(FreshSpillDir("enospc"), metrics);
   FaultInjectorConfig config;
   config.spill_enospc_rate = 1.0;
   FaultInjector injector(config);
@@ -287,7 +292,8 @@ TEST(SpillIntegrityTest, EnospcFailsTheWriteUpFrontAndRetries) {
 // Async writer: the silent-failure window (satellite)
 
 TEST(SpillAsyncErrorTest, AsyncWriteFailureIsStickyPerKey) {
-  df::SpillManager spill(FreshSpillDir("sticky"));
+  obs::Registry metrics;
+  df::SpillManager spill(FreshSpillDir("sticky"), metrics);
   FaultInjectorConfig config;
   config.spill_write_failure_rate = 1.0;
   FaultInjector injector(config);
@@ -316,7 +322,8 @@ TEST(SpillAsyncErrorTest, FailedOverwriteNeverServesThePreviousGeneration) {
   // The regression this satellite pins: an async overwrite fails after the
   // last Append but before Finish/Flush. The old bug window would serve the
   // previous generation on Read as if the overwrite never happened.
-  df::SpillManager spill(FreshSpillDir("overwrite"));
+  obs::Registry metrics;
+  df::SpillManager spill(FreshSpillDir("overwrite"), metrics);
   FaultInjector injector;  // Inert for the clean first generation.
   spill.set_fault_injector(&injector);
   spill.set_retry_policy(FastRetries(2));
@@ -453,7 +460,7 @@ TEST(ViewCacheIntegrityTest, CorruptViewIsDroppedNotServed) {
   budgets.storage = 64 << 20;
   df::MemoryManager memory(budgets);
   obs::Registry registry;
-  serve::FeatureViewCache cache(&memory, /*capacity_bytes=*/-1, &registry);
+  serve::FeatureViewCache cache(&memory, registry);
 
   df::EngineConfig ec;
   df::Engine engine(ec);

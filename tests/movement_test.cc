@@ -297,7 +297,8 @@ TEST(SerializedFastPathTest, MixedResidencyFallsBackToDecodedPath) {
 // ------------------------------------------------------ Async spill I/O.
 
 TEST(AsyncSpillTest, WriteAsyncIsReadableAfterwards) {
-  SpillManager spill("/tmp/vista_movement_spill_a");
+  obs::Registry metrics;
+  SpillManager spill("/tmp/vista_movement_spill_a", metrics);
   Rng rng(8);
   std::vector<uint8_t> blob(1 << 16);
   for (auto& b : blob) b = static_cast<uint8_t>(rng.NextUint64(256));
@@ -310,7 +311,8 @@ TEST(AsyncSpillTest, WriteAsyncIsReadableAfterwards) {
 }
 
 TEST(AsyncSpillTest, CounterAccessorsDrainPendingWrites) {
-  SpillManager spill("/tmp/vista_movement_spill_b");
+  obs::Registry metrics;
+  SpillManager spill("/tmp/vista_movement_spill_b", metrics);
   for (int i = 0; i < 5; ++i) {
     ASSERT_TRUE(spill.WriteAsync(i, std::vector<uint8_t>(4096, 7)).ok());
   }
@@ -320,7 +322,8 @@ TEST(AsyncSpillTest, CounterAccessorsDrainPendingWrites) {
 }
 
 TEST(AsyncSpillTest, FlushPropagatesAndClearsAsyncErrors) {
-  SpillManager spill("/tmp/vista_movement_spill_c");
+  obs::Registry metrics;
+  SpillManager spill("/tmp/vista_movement_spill_c", metrics);
   FaultInjectorConfig config;
   config.spill_write_failure_rate = 1.0;
   FaultInjector injector(config);
@@ -344,7 +347,8 @@ TEST(AsyncSpillTest, FlushPropagatesAndClearsAsyncErrors) {
 }
 
 TEST(AsyncSpillTest, SyncWriteAfterAsyncWriteOfSameKeyWins) {
-  SpillManager spill("/tmp/vista_movement_spill_d");
+  obs::Registry metrics;
+  SpillManager spill("/tmp/vista_movement_spill_d", metrics);
   ASSERT_TRUE(spill.WriteAsync(1, std::vector<uint8_t>(512, 1)).ok());
   ASSERT_TRUE(spill.Write(1, std::vector<uint8_t>(256, 2)).ok());
   auto back = spill.Read(1);

@@ -4,6 +4,7 @@
 #include <algorithm>
 #include <cmath>
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -324,7 +325,7 @@ TEST(ObsEndToEndTest, RealRunProducesStageTimingsAndCounters) {
   EXPECT_GT(counter("spill.writes"), 0);
   EXPECT_GT(counter("spill.bytes_written"), 0);
   EXPECT_EQ(counter("spill.bytes_written"),
-            result->engine_stats.spill_bytes_written);
+            engine.stats().spill_bytes_written);
 
   // Per-layer CNN forward-time histograms from EnableProfiling.
   bool found_layer_histogram = false;
@@ -364,6 +365,114 @@ TEST(ObsEndToEndTest, InjectedRegistryAggregatesAcrossEngines) {
   // Two engines, two partitions each.
   EXPECT_EQ(shared.counter("engine.map_tasks")->value(), 4);
   EXPECT_EQ(tracer.size(), 2u);  // One map_partitions span per engine.
+}
+
+// EngineStats reads the registry instruments it names and copies nothing
+// per engine, so two engines sharing one registry both report the shared
+// aggregate. Each engine runs a spilling, prefetching, fault-injected
+// Persist -> Join -> Collect so every counter below moves.
+TEST(ObsEndToEndTest, EngineStatsReconcileWithSharedRegistry) {
+  obs::Registry shared;  // Outlives the engines, which report into it.
+  std::vector<std::unique_ptr<df::Engine>> engines;
+  for (uint64_t seed : {5, 6}) {
+    df::EngineConfig config;
+    config.metrics = &shared;
+    config.budgets.storage = 4 << 10;
+    config.prefetch_depth = 2;
+    config.faults.seed = seed;
+    config.faults.map_task_failure_rate = 0.2;
+    config.faults.shuffle_failure_rate = 0.1;
+    config.faults.spill_write_failure_rate = 0.2;
+    config.faults.spill_read_failure_rate = 0.2;
+    config.faults.memory_spike_rate = 0.1;
+    config.faults.spill_bit_flip_rate = 0.2;
+    config.retry.max_attempts = 8;
+    config.retry.base_backoff_ms = 0.0;
+    engines.push_back(std::make_unique<df::Engine>(config));
+    df::Engine& engine = *engines.back();
+
+    // Persisted tables are MapPartitions outputs, so a corrupt spill block
+    // is healed from lineage instead of failing the run.
+    auto derived = [&](int first_id) {
+      std::vector<df::Record> records(120);
+      for (int i = 0; i < 120; ++i) {
+        records[i].id = i;
+        records[i].struct_features = {static_cast<float>(first_id + i),
+                                      static_cast<float>(i % 7)};
+      }
+      df::Table base = engine.MakeTable(std::move(records), 6).value();
+      auto mapped = engine.MapPartitions(
+          base,
+          [](std::vector<df::Record> r) -> Result<std::vector<df::Record>> {
+            return r;
+          });
+      EXPECT_TRUE(mapped.ok()) << mapped.status();
+      EXPECT_TRUE(
+          engine.Persist(&*mapped, df::PersistenceFormat::kSerialized).ok());
+      return *mapped;
+    };
+    df::Table left = derived(0);
+    df::Table right = derived(1000);
+    auto joined = engine.Join(left, right, df::JoinStrategy::kShuffleHash, 4);
+    ASSERT_TRUE(joined.ok()) << joined.status();
+    auto rows = engine.Collect(*joined);
+    ASSERT_TRUE(rows.ok()) << rows.status();
+    EXPECT_EQ(rows->size(), 120u);
+    // Quiesce the background threads before reading the shared totals:
+    // removing every spilled key waits out its pending write and drops or
+    // waits out its read-ahead.
+    engine.Unpersist(&left);
+    engine.Unpersist(&right);
+  }
+
+  auto counter = [&](const char* name) {
+    return shared.counter(name)->value();
+  };
+  auto peak = [&](const char* name) { return shared.gauge(name)->max_value(); };
+  // Every plane the fields read actually ran, so no equality is vacuous.
+  for (const char* name :
+       {"spill.writes", "spill.io_retries", "prefetch.requests",
+        "engine.task_retries", "engine.recomputed_partitions",
+        "integrity.checksum_failures", "cache.evictions"}) {
+    EXPECT_GT(counter(name), 0) << name;
+  }
+
+  for (const auto& engine : engines) {
+    const df::EngineStats s = engine->stats();
+    EXPECT_EQ(s.shuffle_bytes, counter("engine.shuffle_bytes"));
+    EXPECT_EQ(s.broadcast_bytes, counter("engine.broadcast_bytes"));
+    EXPECT_EQ(s.spill_bytes_written, counter("spill.bytes_written"));
+    EXPECT_EQ(s.spill_bytes_read, counter("spill.bytes_read"));
+    EXPECT_EQ(s.num_spills, counter("spill.writes"));
+    EXPECT_EQ(s.spill_queue_depth_peak, peak("spill.queue_depth"));
+    EXPECT_EQ(s.cache_read_hits, counter("cache.read_hits"));
+    EXPECT_EQ(s.cache_read_misses, counter("cache.read_misses"));
+    EXPECT_EQ(s.cache_evictions, counter("cache.evictions"));
+    EXPECT_EQ(s.cache_inserts, counter("cache.inserts"));
+    EXPECT_EQ(s.cache_resident_bytes,
+              shared.gauge("cache.resident_bytes")->value());
+    EXPECT_EQ(s.prefetch_requests, counter("prefetch.requests"));
+    EXPECT_EQ(s.prefetch_hits, counter("prefetch.hits"));
+    EXPECT_EQ(s.prefetch_claimed, counter("prefetch.claimed"));
+    EXPECT_EQ(s.prefetch_dropped, counter("prefetch.dropped"));
+    EXPECT_EQ(s.prefetch_corrupt_dropped, counter("prefetch.corrupt_dropped"));
+    EXPECT_EQ(s.prefetch_queue_depth_peak, peak("prefetch.queue_depth"));
+    EXPECT_EQ(s.integrity.blocks_verified,
+              counter("integrity.blocks_verified"));
+    EXPECT_EQ(s.integrity.checksum_failures,
+              counter("integrity.checksum_failures"));
+    EXPECT_EQ(s.integrity.torn_writes_detected,
+              counter("integrity.torn_writes_detected"));
+    EXPECT_EQ(s.integrity.recomputes_triggered,
+              counter("integrity.recomputes_triggered"));
+    EXPECT_EQ(s.recovery.retries,
+              counter("engine.task_retries") + counter("spill.io_retries"));
+    EXPECT_EQ(s.recovery.recomputed_partitions,
+              counter("engine.recomputed_partitions"));
+    // The one per-engine field: each engine's injector owns its count.
+    EXPECT_EQ(s.recovery.injected_faults,
+              engine->fault_injector().total_injected());
+  }
 }
 
 }  // namespace

@@ -72,7 +72,8 @@ uint64_t ChaosSeed() {
 // SpillManager: hint lifecycle
 
 TEST(SpillPrefetchTest, HintsServeVerifiedBytesWithoutDoubleReads) {
-  df::SpillManager spill(FreshSpillDir("hits"));
+  obs::Registry metrics;
+  df::SpillManager spill(FreshSpillDir("hits"), metrics);
   spill.set_prefetch_capacity(8);
   int64_t payload_bytes = 0;
   for (int64_t key = 0; key < 4; ++key) {
@@ -100,7 +101,8 @@ TEST(SpillPrefetchTest, HintsServeVerifiedBytesWithoutDoubleReads) {
 }
 
 TEST(SpillPrefetchTest, CapacityBoundsOutstandingHints) {
-  df::SpillManager spill(FreshSpillDir("capacity"));
+  obs::Registry metrics;
+  df::SpillManager spill(FreshSpillDir("capacity"), metrics);
   spill.set_prefetch_capacity(2);
   // A slow reader keeps the first hints outstanding while the rest arrive.
   FaultInjectorConfig config;
@@ -124,7 +126,8 @@ TEST(SpillPrefetchTest, CapacityBoundsOutstandingHints) {
 }
 
 TEST(SpillPrefetchTest, MissingAndFailedKeysAreDropped) {
-  df::SpillManager spill(FreshSpillDir("badkeys"));
+  obs::Registry metrics;
+  df::SpillManager spill(FreshSpillDir("badkeys"), metrics);
   // No spill entry for the key: nothing to read ahead.
   spill.Prefetch(77);
   EXPECT_EQ(spill.prefetch_requests(), 0);
@@ -146,7 +149,8 @@ TEST(SpillPrefetchTest, MissingAndFailedKeysAreDropped) {
 }
 
 TEST(SpillPrefetchTest, MemoryBudgetGateDropsHintsWithoutHeadroom) {
-  df::SpillManager spill(FreshSpillDir("budget"));
+  obs::Registry metrics;
+  df::SpillManager spill(FreshSpillDir("budget"), metrics);
   df::MemoryBudgets budgets;
   budgets.storage = 100;
   df::MemoryManager memory(budgets);
@@ -175,7 +179,8 @@ TEST(SpillPrefetchTest, MemoryBudgetGateDropsHintsWithoutHeadroom) {
 // Fault interaction
 
 TEST(SpillPrefetchTest, CorruptPrefetchedBlockSurfacesDataLossOnce) {
-  df::SpillManager spill(FreshSpillDir("corrupt"));
+  obs::Registry metrics;
+  df::SpillManager spill(FreshSpillDir("corrupt"), metrics);
   FaultInjectorConfig config;
   config.spill_bit_flip_rate = 1.0;
   FaultInjector injector(config);
@@ -199,7 +204,8 @@ TEST(SpillPrefetchTest, CorruptPrefetchedBlockSurfacesDataLossOnce) {
 }
 
 TEST(SpillPrefetchTest, OverwriteInvalidatesPrefetchedGeneration) {
-  df::SpillManager spill(FreshSpillDir("generations"));
+  obs::Registry metrics;
+  df::SpillManager spill(FreshSpillDir("generations"), metrics);
   const std::vector<uint8_t> gen1 = PatternPayload(80, 1);
   const std::vector<uint8_t> gen2 = PatternPayload(80, 2);
   ASSERT_TRUE(spill.Write(3, gen1).ok());
@@ -213,7 +219,8 @@ TEST(SpillPrefetchTest, OverwriteInvalidatesPrefetchedGeneration) {
 }
 
 TEST(SpillPrefetchTest, DelayedReadInjectionStallsButNeverCorrupts) {
-  df::SpillManager spill(FreshSpillDir("delay"));
+  obs::Registry metrics;
+  df::SpillManager spill(FreshSpillDir("delay"), metrics);
   FaultInjectorConfig config;
   config.spill_read_delay_rate = 1.0;
   config.spill_read_delay_ms = 1.0;

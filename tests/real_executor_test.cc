@@ -315,7 +315,7 @@ TEST(RealExecutorTest, WorksWithSpillingStorage) {
   auto result =
       executor.Run(*plan, f.workload, f.t_str, f.t_img, FastConfig());
   ASSERT_TRUE(result.ok());
-  EXPECT_GT(result->engine_stats.num_spills, 0);
+  EXPECT_GT(f.engine->stats().num_spills, 0);
   EXPECT_EQ(result->per_layer.size(), 3u);
 }
 

@@ -557,7 +557,7 @@ TEST(ViewCacheTest, EvictsLowestFlopsPerByteUnderPressure) {
   df::Table small = SmallTable(&engine, 8, 2);
   const int64_t capacity = big.memory_bytes() + small.memory_bytes() / 2;
 
-  FeatureViewCache cache(&engine.memory(), capacity);
+  FeatureViewCache cache(&engine.memory(), engine.metrics(), capacity);
   // A huge shallow view saving few FLOPs per byte...
   ASSERT_TRUE(cache.Insert("m", 1, MaterializedView{big, 0},
                            /*recompute_flops=*/100));
@@ -579,7 +579,7 @@ TEST(ViewCacheTest, EvictsLowestFlopsPerByteUnderPressure) {
 TEST(ViewCacheTest, LookupReturnsDeepestUsableLayer) {
   df::Engine engine({});
   df::Table t = SmallTable(&engine, 8, 3);
-  FeatureViewCache cache(&engine.memory());
+  FeatureViewCache cache(&engine.memory(), engine.metrics());
   ASSERT_TRUE(cache.Insert("m", 7, MaterializedView{t, 1}, 10));
   ASSERT_TRUE(cache.Insert("m", 7, MaterializedView{t, 3}, 30));
   ASSERT_TRUE(cache.Insert("m", 7, MaterializedView{t, 5}, 50));
@@ -598,7 +598,7 @@ TEST(ViewCacheTest, PrecisionsNeverShareViews) {
   // lookup must only ever see views of its own precision.
   df::Engine engine({});
   df::Table t = SmallTable(&engine, 8, 3);
-  FeatureViewCache cache(&engine.memory());
+  FeatureViewCache cache(&engine.memory(), engine.metrics());
   ASSERT_TRUE(cache.Insert("m", 7, MaterializedView{t, 3}, 30,
                            dl::Precision::kFp32));
   ASSERT_TRUE(cache.Insert("m", 7, MaterializedView{t, 1}, 10,
@@ -620,7 +620,7 @@ TEST(ViewCacheTest, RejectsViewThatCannotEverFit) {
   df::MemoryManager mem(budgets);
   df::Engine engine({});
   df::Table t = SmallTable(&engine, 20, 4);
-  FeatureViewCache cache(&mem);
+  FeatureViewCache cache(&mem, engine.metrics());
   EXPECT_FALSE(cache.Insert("m", 1, MaterializedView{t, 0}, 100));
   EXPECT_EQ(cache.num_views(), 0);
   EXPECT_EQ(mem.Used(df::MemoryRegion::kStorage), 0);
