@@ -295,7 +295,6 @@ int RunKernelSmoke(int argc, char** argv) {
     (void)MatMul(a, b);
     const double naive_ms =
         TimeMs(5, [&] { benchmark::DoNotOptimize(MatMulReference(a, b)); });
-    const int64_t flops_before = GemmFlopsTotal();
     const double packed_ms =
         TimeMs(15, [&] { benchmark::DoNotOptimize(MatMul(a, b)); });
     const int64_t flops_per_call = 2 * m * n * k;
@@ -303,7 +302,6 @@ int RunKernelSmoke(int argc, char** argv) {
                           (packed_ms * 1e-3) / 1e9;
     const double speedup = naive_ms / packed_ms;
     registry.gauge("gemm_gflops")->Set(static_cast<int64_t>(gflops));
-    (void)flops_before;
     fp32_packed_ms = packed_ms;
 
     obs::Json gemm = obs::Json::Object();
@@ -338,10 +336,9 @@ int RunKernelSmoke(int argc, char** argv) {
     std::vector<float> c(m * n);
     GemmInt8Epilogue epilogue;
     epilogue.scale = scales.data();
-    KernelScratch& scratch = KernelScratch::ThreadLocal();
     const auto run = [&] {
       GemmPackedInt8(m, n, k, a8.data(), k, b8.data(), n, c.data(), n,
-                     epilogue, &scratch);
+                     epilogue, nullptr);
       benchmark::DoNotOptimize(c.data());
     };
     run();  // Warm-up.
@@ -386,11 +383,12 @@ int RunKernelSmoke(int argc, char** argv) {
   // materialized). The gate tracks the machine-independent speedup over
   // the direct loops (mirroring the GEMM section's speedup over the naive
   // triple loop), two 0/1 correctness indicators — the pool-parallel
-  // output must equal the serial output bit for bit, and the output must
-  // match the direct oracle within the differential tests' tolerance —
-  // and the deterministic scratch-footprint ratio: what a materialized
-  // expansion would add on top of the implicit arena's peak, over that
-  // peak (pure Acquire accounting, identical on every machine).
+  // output must equal the serial output bit for bit (checked on the
+  // separate parallel-check conv below), and the output must match the
+  // direct oracle within the differential tests' tolerance — and the
+  // deterministic scratch-footprint ratio: what a materialized expansion
+  // would add on top of the implicit arena's peak, over that peak (pure
+  // Acquire accounting, identical on every machine).
   const int64_t conv_c = 64, conv_hw = 112, conv_f = 48;
   const int conv_k = 3, conv_s = 1, conv_p = 1;
   Rng conv_rng(6);
@@ -399,6 +397,17 @@ int RunKernelSmoke(int argc, char** argv) {
   Tensor conv_w = Tensor::RandomGaussian(
       Shape{conv_f, conv_c, conv_k, conv_k}, &conv_rng);
   Tensor conv_b = Tensor::RandomGaussian(Shape{conv_f}, &conv_rng);
+  // The parallel bit-identity check needs more than one kGemmMC row block
+  // to distribute (48 filters are one block, which always runs inline):
+  // 128 filters over 64ch 28x28, 3x3, split into a full and a partial
+  // block.
+  const int64_t par_hw = 28, par_f = 128;
+  Rng par_rng(7);
+  Tensor par_in =
+      Tensor::RandomGaussian(Shape{conv_c, par_hw, par_hw}, &par_rng);
+  Tensor par_w = Tensor::RandomGaussian(
+      Shape{par_f, conv_c, conv_k, conv_k}, &par_rng);
+  Tensor par_b = Tensor::RandomGaussian(Shape{par_f}, &par_rng);
   auto conv_pool = std::make_unique<ThreadPool>(4);
   const auto bit_identical = [](const Result<Tensor>& x,
                                 const Result<Tensor>& y) {
@@ -418,8 +427,12 @@ int RunKernelSmoke(int argc, char** argv) {
     };
     auto direct_out = direct();  // Warm-up + the correctness operands.
     auto serial_out = gemm(nullptr);
+    const auto par_gemm = [&](ThreadPool* pool) {
+      return Conv2DGemm(par_in, par_w, par_b, conv_s, conv_p, 1,
+                        /*relu=*/false, pool);
+    };
     const bool parallel_identical =
-        bit_identical(serial_out, gemm(conv_pool.get()));
+        bit_identical(par_gemm(nullptr), par_gemm(conv_pool.get()));
     const bool matches_direct = direct_out.ok() && serial_out.ok() &&
                                 direct_out->AllClose(*serial_out, 1e-3f);
     const double direct_ms =
@@ -429,26 +442,30 @@ int RunKernelSmoke(int argc, char** argv) {
     const double speedup = direct_ms / im_ms;
     fp32_conv_ms = im_ms;
 
-    // Footprint on a fresh arena (deterministic: pure Acquire accounting).
+    // Footprint on a fresh arena — a new thread's (deterministic: pure
+    // Acquire accounting).
     const int64_t rows = conv_c * conv_k * conv_k;
     const int64_t spatial = conv_hw * conv_hw;
     std::vector<float> c(static_cast<size_t>(conv_f * spatial));
-    KernelScratch implicit_arena;
-    ConvPatchView view;
-    view.input = conv_in.data();
-    view.h = conv_hw;
-    view.w = conv_hw;
-    view.kernel = conv_k;
-    view.stride = conv_s;
-    view.pad = conv_p;
-    view.w_out = conv_hw;
-    GemmPackedConv(conv_f, spatial, rows, conv_w.data(), rows, view,
-                   c.data(), spatial, GemmEpilogue{}, &implicit_arena);
+    int64_t implicit_bytes = 0;
+    std::thread fresh([&] {
+      ConvPatchView view;
+      view.input = conv_in.data();
+      view.h = conv_hw;
+      view.w = conv_hw;
+      view.kernel = conv_k;
+      view.stride = conv_s;
+      view.pad = conv_p;
+      view.w_out = conv_hw;
+      GemmPackedConv(conv_f, spatial, rows, conv_w.data(), rows, view,
+                     c.data(), spatial, GemmEpilogue{}, nullptr);
+      implicit_bytes = KernelScratch::ThreadLocal().peak_bytes();
+    });
+    fresh.join();
     const int64_t im2col_bytes =
-        rows * spatial * static_cast<int64_t>(sizeof(float)) +
-        implicit_arena.peak_bytes();
+        rows * spatial * static_cast<int64_t>(sizeof(float)) + implicit_bytes;
     const double temp_ratio = static_cast<double>(im2col_bytes) /
-                              static_cast<double>(implicit_arena.peak_bytes());
+                              static_cast<double>(implicit_bytes);
 
     obs::Json ic = obs::Json::Object();
     ic.Set("channels", obs::Json::Int(conv_c));
@@ -460,8 +477,7 @@ int RunKernelSmoke(int argc, char** argv) {
     ic.Set("parallel_bit_identical",
            obs::Json::Num(parallel_identical ? 1.0 : 0.0));
     ic.Set("matches_direct", obs::Json::Num(matches_direct ? 1.0 : 0.0));
-    ic.Set("implicit_temp_bytes",
-           obs::Json::Int(implicit_arena.peak_bytes()));
+    ic.Set("implicit_temp_bytes", obs::Json::Int(implicit_bytes));
     ic.Set("im2col_temp_bytes", obs::Json::Int(im2col_bytes));
     ic.Set("conv_temp_bytes_ratio", obs::Json::Num(temp_ratio));
     reporter.AddSection("implicit_conv", std::move(ic));
@@ -474,7 +490,8 @@ int RunKernelSmoke(int argc, char** argv) {
 
   // --- Int8 implicit conv against fp32 Conv2DGemm on the same shape: the
   // honest precision ratio (above 1 only if the quantized kernel pays for
-  // itself), plus the pool-parallel bit-identity indicator.
+  // itself), plus the pool-parallel bit-identity indicator (on the
+  // parallel-check conv).
   {
     auto qw = QuantizeWeightsPerChannel(conv_w);
     const float act_scale =
@@ -483,8 +500,16 @@ int RunKernelSmoke(int argc, char** argv) {
       return Conv2DGemmInt8(conv_in, *qw, conv_b, conv_s, conv_p, 1,
                             /*relu=*/false, act_scale, pool);
     };
+    (void)int8(nullptr);  // Warm-up.
+    auto par_qw = QuantizeWeightsPerChannel(par_w);
+    const float par_scale =
+        SymmetricScale(MaxAbs(par_in.data(), par_in.num_elements()));
+    const auto par_int8 = [&](ThreadPool* pool) {
+      return Conv2DGemmInt8(par_in, *par_qw, par_b, conv_s, conv_p, 1,
+                            /*relu=*/false, par_scale, pool);
+    };
     const bool parallel_identical =
-        bit_identical(int8(nullptr), int8(conv_pool.get()));  // + warm-up.
+        bit_identical(par_int8(nullptr), par_int8(conv_pool.get()));
     const double im_ms =
         TimeMs(9, [&] { benchmark::DoNotOptimize(int8(nullptr)); });
     const double speedup = fp32_conv_ms / im_ms;
@@ -505,7 +530,7 @@ int RunKernelSmoke(int argc, char** argv) {
   conv_pool.reset();  // Its idle workers must not share the cores below.
 
   // --- Batched partial inference: 8 images through MicroAlexNet, serial
-  // vs a 4-thread pool in inter-image mode. Efficiency is reported both
+  // vs a 4-thread pool (one task per image). Efficiency is reported both
   // raw (speedup / threads) and normalized to the cores actually available
   // — on a 1-2 core CI runner the raw number cannot approach 1 no matter
   // how good the scheduling is.
@@ -527,7 +552,6 @@ int RunKernelSmoke(int argc, char** argv) {
     ThreadPool pool(threads);
     dl::CnnOptions opts;
     opts.pool = &pool;
-    opts.parallelism = dl::CnnParallelism::kInterImage;
     (void)model->RunRangeBatch(images, 0, last, opts);
     const double parallel_ms = TimeMs(5, [&] {
       benchmark::DoNotOptimize(model->RunRangeBatch(images, 0, last, opts));

@@ -213,13 +213,6 @@ Result<Tensor> CnnModel::Run(const Tensor& image) const {
 }
 
 Result<Tensor> CnnModel::RunRange(const Tensor& input, int from, int to,
-                                  ThreadPool* pool) const {
-  CnnOptions opts;
-  opts.pool = pool;
-  return RunRange(input, from, to, opts);
-}
-
-Result<Tensor> CnnModel::RunRange(const Tensor& input, int from, int to,
                                   const CnnOptions& opts) const {
   ThreadPool* pool = opts.pool;
   if (opts.precision == Precision::kInt8 && !int8_calibrated_) {
@@ -271,14 +264,10 @@ Result<std::vector<Tensor>> CnnModel::RunRangeBatch(
   std::vector<Tensor> out(inputs.size());
   if (inputs.empty()) return out;
   ThreadPool* pool = opts.pool;
-  const bool inter = opts.parallelism == CnnParallelism::kInterImage &&
-                     pool != nullptr && pool->num_threads() > 1 &&
-                     inputs.size() > 1;
-  if (!inter) {
+  if (pool == nullptr || pool->num_threads() <= 1 || inputs.size() == 1) {
     // Serial over images; a non-null pool is spent inside each kernel.
-    CnnOptions intra = opts;
     for (size_t i = 0; i < inputs.size(); ++i) {
-      VISTA_ASSIGN_OR_RETURN(out[i], RunRange(inputs[i], from, to, intra));
+      VISTA_ASSIGN_OR_RETURN(out[i], RunRange(inputs[i], from, to, opts));
     }
     return out;
   }

@@ -19,22 +19,10 @@ class ThreadPool;
 
 namespace vista::dl {
 
-/// How batched partial inference spends a thread pool (the engine's `cpu`
-/// knob, spent one of two ways).
-enum class CnnParallelism {
-  /// One task per image; each image's kernels run single-threaded. Best
-  /// throughput when the batch is at least as wide as the pool.
-  kInterImage,
-  /// Images run in order; each convolution parallelizes its GEMM row tiles
-  /// across the pool. Best latency for small batches or huge layers.
-  kIntraImage,
-};
-
 /// Threading and precision choices for RunRange/RunRangeBatch. Null pool =
 /// serial everything.
 struct CnnOptions {
   ThreadPool* pool = nullptr;
-  CnnParallelism parallelism = CnnParallelism::kInterImage;
   /// Numeric precision of the forward pass. kInt8 requires the model to be
   /// calibrated first (CnnModel::CalibrateInt8); kConv/kFc primitives then
   /// run on the quantized packed GEMM with fp32 layer boundaries.
@@ -161,23 +149,19 @@ class CnnModel {
 
   /// Partial inference f̂_{from→to}: `input` must be the output of logical
   /// layer `from - 1` (or the raw image iff from == 0); runs logical layers
-  /// [from, to] inclusive. A non-null `pool` parallelizes each convolution
-  /// across its GEMM row tiles (intra-image parallelism).
+  /// [from, to] inclusive. A non-null `opts.pool` parallelizes each
+  /// convolution across its GEMM row tiles, and `opts.precision` selects
+  /// the numeric path. FailedPrecondition when int8 is requested without
+  /// calibration.
   Result<Tensor> RunRange(const Tensor& input, int from, int to,
-                          ThreadPool* pool = nullptr) const;
+                          const CnnOptions& opts = {}) const;
 
-  /// RunRange with full options: `opts.pool` parallelizes kernels
-  /// (intra-image; `opts.parallelism` is a batch-level knob and is ignored
-  /// here) and `opts.precision` selects the numeric path.
-  /// FailedPrecondition when int8 is requested without calibration.
-  Result<Tensor> RunRange(const Tensor& input, int from, int to,
-                          const CnnOptions& opts) const;
-
-  /// Batched partial inference: RunRange over every tensor in `inputs`,
-  /// spending `opts.pool` per `opts.parallelism` — either one pool task per
-  /// image (kInterImage) or pool-parallel kernels inside each image in turn
-  /// (kIntraImage). Results are positionally aligned with `inputs`; the
-  /// first per-image failure aborts the batch.
+  /// Batched partial inference: RunRange over every tensor in `inputs`.
+  /// With a multi-thread `opts.pool` and more than one image, each image is
+  /// one pool task with serial kernels; otherwise images run in order and
+  /// the pool, if any, goes to each image's kernels. Results are
+  /// positionally aligned with `inputs`; the first per-image failure aborts
+  /// the batch.
   Result<std::vector<Tensor>> RunRangeBatch(const std::vector<Tensor>& inputs,
                                             int from, int to,
                                             const CnnOptions& opts = {}) const;

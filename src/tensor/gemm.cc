@@ -90,7 +90,7 @@ Result<Tensor> MatMul(const Tensor& a, const Tensor& b) {
   const int64_t n = b.shape().dim(1);
   Tensor c(Shape{m, n});
   GemmPacked(m, n, k, a.data(), k, b.data(), n, c.mutable_data(), n,
-             GemmEpilogue{}, &KernelScratch::ThreadLocal());
+             GemmEpilogue{}, nullptr);
   return c;
 }
 
@@ -126,7 +126,6 @@ Result<Tensor> Conv2DGemm(const Tensor& input, const Tensor& weights,
   VISTA_RETURN_IF_ERROR(ComputeConvGeom("Conv2DGemm", input.shape(),
                                         weights.shape(), bias.shape(), stride,
                                         pad, groups, &g));
-  KernelScratch& scratch = KernelScratch::ThreadLocal();
   Tensor out(Shape{g.k_total, g.h_out, g.w_out});
   float* o = out.mutable_data();
   const float* wt = weights.data();
@@ -143,13 +142,8 @@ Result<Tensor> Conv2DGemm(const Tensor& input, const Tensor& weights,
     const float* in_g = input.data() + gi * g.c_per_group * g.h * g.w;
     float* c_g = o + gi * g.k_per_group * g.spatial;
     if (unit) {
-      if (pool != nullptr) {
-        GemmPackedParallel(g.k_per_group, g.spatial, g.rows, a_g, g.rows,
-                           in_g, g.spatial, c_g, g.spatial, epilogue, pool);
-      } else {
-        GemmPacked(g.k_per_group, g.spatial, g.rows, a_g, g.rows, in_g,
-                   g.spatial, c_g, g.spatial, epilogue, &scratch);
-      }
+      GemmPacked(g.k_per_group, g.spatial, g.rows, a_g, g.rows, in_g,
+                 g.spatial, c_g, g.spatial, epilogue, pool);
       continue;
     }
     ConvPatchView view;
@@ -160,13 +154,8 @@ Result<Tensor> Conv2DGemm(const Tensor& input, const Tensor& weights,
     view.stride = stride;
     view.pad = pad;
     view.w_out = g.w_out;
-    if (pool != nullptr) {
-      GemmPackedConvParallel(g.k_per_group, g.spatial, g.rows, a_g, g.rows,
-                             view, c_g, g.spatial, epilogue, pool);
-    } else {
-      GemmPackedConv(g.k_per_group, g.spatial, g.rows, a_g, g.rows, view,
-                     c_g, g.spatial, epilogue, &scratch);
-    }
+    GemmPackedConv(g.k_per_group, g.spatial, g.rows, a_g, g.rows, view,
+                   c_g, g.spatial, epilogue, pool);
   }
   return out;
 }
@@ -218,14 +207,8 @@ Result<Tensor> Conv2DGemmInt8(const Tensor& input, const QuantizedWeights& qw,
     view.stride = stride;
     view.pad = pad;
     view.w_out = g.w_out;
-    if (pool != nullptr) {
-      GemmPackedConvInt8Parallel(g.k_per_group, g.spatial, g.rows, a_g,
-                                 g.rows, view, act_scale, c_g, g.spatial,
-                                 epilogue, pool);
-    } else {
-      GemmPackedConvInt8(g.k_per_group, g.spatial, g.rows, a_g, g.rows, view,
-                         act_scale, c_g, g.spatial, epilogue, &scratch);
-    }
+    GemmPackedConvInt8(g.k_per_group, g.spatial, g.rows, a_g, g.rows, view,
+                       act_scale, c_g, g.spatial, epilogue, pool);
   }
   return out;
 }
@@ -267,7 +250,7 @@ Result<Tensor> FullyConnectedInt8(const Tensor& input,
   epilogue.bias = bias.data();
   epilogue.relu = relu;
   GemmPackedInt8(out_dim, 1, in_dim, qw.data.data(), in_dim, qx, 1,
-                 out.mutable_data(), 1, epilogue, &scratch);
+                 out.mutable_data(), 1, epilogue, nullptr);
   return out;
 }
 

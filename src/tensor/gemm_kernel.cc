@@ -1,12 +1,11 @@
 #include "tensor/gemm_kernel.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cstring>
-#include <utility>
 
 #include "common/thread_pool.h"
 #include "tensor/quant.h"
+#include "tensor/scratch.h"
 
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
 #include <immintrin.h>
@@ -17,8 +16,6 @@
 
 namespace vista {
 namespace {
-
-std::atomic<int64_t> g_gemm_flops{0};
 
 inline int64_t RoundUp(int64_t x, int64_t multiple) {
   return (x + multiple - 1) / multiple * multiple;
@@ -289,8 +286,6 @@ void EpilogueOnly(int64_t m, int64_t n, float* c, int64_t ldc,
 }
 
 /// ---- Int8 kernel -------------------------------------------------------
-
-std::atomic<int64_t> g_gemm_int8_ops{0};
 
 /// Packs the (mc x kc) block of A into MR-row strips of 4-deep k blocks:
 /// strip byte (kb*MR + i)*4 + t holds A[row i][4*kb + t], signed,
@@ -611,53 +606,34 @@ void EpilogueOnlyInt8(int64_t m, int64_t n, float* c, int64_t ldc,
 /// PackBConvInt8). Because the packed panels are byte-identical across
 /// sources, every downstream accumulation is too: implicit-GEMM
 /// bit-identity is structural, not numerical luck.
+///
+/// Each (jc, pc) B panel is packed once into the calling thread's arena;
+/// the MC row blocks then run inline, or across `pool` (ParallelFor is
+/// caller-inclusive, so this is safe from inside a pool task). A block
+/// packs its A panel into the arena of the thread running it and writes
+/// disjoint rows of C, so the schedule cannot change a single bit.
+
+/// Below ~2 MFLOP the dispatch overhead beats the row-tile win; one M
+/// block also leaves nothing to distribute.
+inline bool ParallelTooSmall(int64_t m, int64_t n, int64_t k,
+                             ThreadPool* pool) {
+  return pool == nullptr || pool->num_threads() <= 1 ||
+         m * n * k < (1 << 20) || m <= kGemmMC;
+}
 
 template <typename PackBFn>
 void GemmPackedDriver(int64_t m, int64_t n, int64_t k, const float* a,
                       int64_t lda, PackBFn&& pack_b, float* c, int64_t ldc,
-                      const GemmEpilogue& epilogue, KernelScratch* scratch) {
+                      const GemmEpilogue& epilogue, ThreadPool* pool) {
   if (m <= 0 || n <= 0) return;
   if (k <= 0) {
     EpilogueOnly(m, n, c, ldc, epilogue);
     return;
   }
-  g_gemm_flops.fetch_add(2 * m * n * k, std::memory_order_relaxed);
-  for (int64_t jc = 0; jc < n; jc += kGemmNC) {
-    const int64_t nc = std::min(kGemmNC, n - jc);
-    for (int64_t pc = 0; pc < k; pc += kGemmKC) {
-      const int64_t kc = std::min(kGemmKC, k - pc);
-      const bool first = pc == 0;
-      const bool last = pc + kc == k;
-      float* bp = scratch->Acquire(
-          KernelScratch::Slot::kPackB,
-          static_cast<size_t>(RoundUp(nc, kGemmNR) * kc));
-      pack_b(pc, jc, kc, nc, bp);
-      float* ap = scratch->Acquire(
-          KernelScratch::Slot::kPackA,
-          static_cast<size_t>(RoundUp(std::min(m, kGemmMC), kGemmMR) *
-                              kGemmKC));
-      for (int64_t ic = 0; ic < m; ic += kGemmMC) {
-        const int64_t mc = std::min(kGemmMC, m - ic);
-        PackA(a + ic * lda + pc, lda, mc, kc, ap);
-        InnerTiles(mc, nc, kc, ap, bp, c + ic * ldc + jc, ldc, first, last,
-                   epilogue.bias != nullptr ? epilogue.bias + ic : nullptr,
-                   epilogue.relu);
-      }
-    }
-  }
-}
-
-template <typename PackBFn>
-void GemmPackedParallelDriver(int64_t m, int64_t n, int64_t k, const float* a,
-                              int64_t lda, PackBFn&& pack_b, float* c,
-                              int64_t ldc, const GemmEpilogue& epilogue,
-                              ThreadPool* pool) {
-  if (m <= 0 || n <= 0) return;
-  if (k <= 0) {
-    EpilogueOnly(m, n, c, ldc, epilogue);
-    return;
-  }
-  g_gemm_flops.fetch_add(2 * m * n * k, std::memory_order_relaxed);
+  const bool serial = ParallelTooSmall(m, n, k, pool);
+  const int64_t num_blocks = (m + kGemmMC - 1) / kGemmMC;
+  const size_t a_floats =
+      static_cast<size_t>(RoundUp(std::min(m, kGemmMC), kGemmMR) * kGemmKC);
   KernelScratch& caller = KernelScratch::ThreadLocal();
   for (int64_t jc = 0; jc < n; jc += kGemmNC) {
     const int64_t nc = std::min(kGemmNC, n - jc);
@@ -665,25 +641,25 @@ void GemmPackedParallelDriver(int64_t m, int64_t n, int64_t k, const float* a,
       const int64_t kc = std::min(kGemmKC, k - pc);
       const bool first = pc == 0;
       const bool last = pc + kc == k;
-      // The B panel is packed once into the caller's arena; workers read
-      // it concurrently (it is immutable until the ParallelFor returns).
       float* bp = caller.Acquire(
           KernelScratch::Slot::kPackB,
           static_cast<size_t>(RoundUp(nc, kGemmNR) * kc));
       pack_b(pc, jc, kc, nc, bp);
-      const int64_t num_blocks = (m + kGemmMC - 1) / kGemmMC;
-      pool->ParallelFor(num_blocks, [&](int64_t blk) {
+      const auto block = [&](int64_t blk) {
         const int64_t ic = blk * kGemmMC;
         const int64_t mc = std::min(kGemmMC, m - ic);
-        KernelScratch& local = KernelScratch::ThreadLocal();
-        float* ap = local.Acquire(
-            KernelScratch::Slot::kPackA,
-            static_cast<size_t>(RoundUp(mc, kGemmMR) * kc));
+        float* ap = KernelScratch::ThreadLocal().Acquire(
+            KernelScratch::Slot::kPackA, a_floats);
         PackA(a + ic * lda + pc, lda, mc, kc, ap);
         InnerTiles(mc, nc, kc, ap, bp, c + ic * ldc + jc, ldc, first, last,
                    epilogue.bias != nullptr ? epilogue.bias + ic : nullptr,
                    epilogue.relu);
-      });
+      };
+      if (serial) {
+        for (int64_t blk = 0; blk < num_blocks; ++blk) block(blk);
+      } else {
+        pool->ParallelFor(num_blocks, block);
+      }
     }
   }
 }
@@ -692,59 +668,15 @@ template <typename PackBFn>
 void GemmPackedInt8Driver(int64_t m, int64_t n, int64_t k, const int8_t* a,
                           int64_t lda, PackBFn&& pack_b, float* c,
                           int64_t ldc, const GemmInt8Epilogue& epilogue,
-                          KernelScratch* scratch) {
+                          ThreadPool* pool) {
   if (m <= 0 || n <= 0) return;
   if (k <= 0) {
     EpilogueOnlyInt8(m, n, c, ldc, epilogue);
     return;
   }
-  g_gemm_int8_ops.fetch_add(2 * m * n * k, std::memory_order_relaxed);
-  const float inv_out =
-      epilogue.out_scale > 0.0f ? 1.0f / epilogue.out_scale : 0.0f;
-  for (int64_t jc = 0; jc < n; jc += kGemmNC) {
-    const int64_t nc = std::min(kGemmNC, n - jc);
-    for (int64_t pc = 0; pc < k; pc += kGemmKcInt8) {
-      const int64_t kc = std::min(kGemmKcInt8, k - pc);
-      const int64_t kc4 = RoundUp(kc, 4);
-      const bool first = pc == 0;
-      const bool last = pc + kc == k;
-      uint8_t* bp = static_cast<uint8_t*>(scratch->AcquireBytes(
-          KernelScratch::Slot::kPackBInt8,
-          static_cast<size_t>(RoundUp(nc, kGemmNR) * kc4)));
-      pack_b(pc, jc, kc, nc, bp);
-      int8_t* ap = static_cast<int8_t*>(scratch->AcquireBytes(
-          KernelScratch::Slot::kPackAInt8,
-          static_cast<size_t>(RoundUp(std::min(m, kGemmMC), kGemmMR) *
-                              kc4)));
-      int32_t rowsum[kGemmMC];
-      for (int64_t ic = 0; ic < m; ic += kGemmMC) {
-        const int64_t mc = std::min(kGemmMC, m - ic);
-        PackAInt8(a + ic * lda + pc, lda, mc, kc, ap, rowsum);
-        InnerTilesInt8(
-            mc, nc, kc, ap, bp, rowsum, c + ic * ldc + jc, ldc, first, last,
-            epilogue.scale != nullptr ? epilogue.scale + ic : nullptr,
-            epilogue.bias != nullptr ? epilogue.bias + ic : nullptr,
-            epilogue.relu,
-            epilogue.c8 != nullptr ? epilogue.c8 + ic * epilogue.ldc8 + jc
-                                   : nullptr,
-            epilogue.ldc8, inv_out);
-      }
-    }
-  }
-}
-
-template <typename PackBFn>
-void GemmPackedInt8ParallelDriver(int64_t m, int64_t n, int64_t k,
-                                  const int8_t* a, int64_t lda,
-                                  PackBFn&& pack_b, float* c, int64_t ldc,
-                                  const GemmInt8Epilogue& epilogue,
-                                  ThreadPool* pool) {
-  if (m <= 0 || n <= 0) return;
-  if (k <= 0) {
-    EpilogueOnlyInt8(m, n, c, ldc, epilogue);
-    return;
-  }
-  g_gemm_int8_ops.fetch_add(2 * m * n * k, std::memory_order_relaxed);
+  const bool serial = ParallelTooSmall(m, n, k, pool);
+  const int64_t num_blocks = (m + kGemmMC - 1) / kGemmMC;
+  const int64_t a_rows = RoundUp(std::min(m, kGemmMC), kGemmMR);
   const float inv_out =
       epilogue.out_scale > 0.0f ? 1.0f / epilogue.out_scale : 0.0f;
   KernelScratch& caller = KernelScratch::ThreadLocal();
@@ -755,20 +687,17 @@ void GemmPackedInt8ParallelDriver(int64_t m, int64_t n, int64_t k,
       const int64_t kc4 = RoundUp(kc, 4);
       const bool first = pc == 0;
       const bool last = pc + kc == k;
-      // The B panel is packed once into the caller's arena; workers read
-      // it concurrently (it is immutable until the ParallelFor returns).
       uint8_t* bp = static_cast<uint8_t*>(caller.AcquireBytes(
           KernelScratch::Slot::kPackBInt8,
           static_cast<size_t>(RoundUp(nc, kGemmNR) * kc4)));
       pack_b(pc, jc, kc, nc, bp);
-      const int64_t num_blocks = (m + kGemmMC - 1) / kGemmMC;
-      pool->ParallelFor(num_blocks, [&](int64_t blk) {
+      const auto block = [&](int64_t blk) {
         const int64_t ic = blk * kGemmMC;
         const int64_t mc = std::min(kGemmMC, m - ic);
-        KernelScratch& local = KernelScratch::ThreadLocal();
-        int8_t* ap = static_cast<int8_t*>(local.AcquireBytes(
-            KernelScratch::Slot::kPackAInt8,
-            static_cast<size_t>(RoundUp(mc, kGemmMR) * kc4)));
+        int8_t* ap = static_cast<int8_t*>(
+            KernelScratch::ThreadLocal().AcquireBytes(
+                KernelScratch::Slot::kPackAInt8,
+                static_cast<size_t>(a_rows * kc4)));
         int32_t rowsum[kGemmMC];
         PackAInt8(a + ic * lda + pc, lda, mc, kc, ap, rowsum);
         InnerTilesInt8(
@@ -779,84 +708,39 @@ void GemmPackedInt8ParallelDriver(int64_t m, int64_t n, int64_t k,
             epilogue.c8 != nullptr ? epilogue.c8 + ic * epilogue.ldc8 + jc
                                    : nullptr,
             epilogue.ldc8, inv_out);
-      });
+      };
+      if (serial) {
+        for (int64_t blk = 0; blk < num_blocks; ++blk) block(blk);
+      } else {
+        pool->ParallelFor(num_blocks, block);
+      }
     }
   }
 }
 
-/// Below ~2 MFLOP the dispatch overhead beats the row-tile win; one M
-/// block also leaves nothing to distribute.
-inline bool ParallelTooSmall(int64_t m, int64_t n, int64_t k,
-                             ThreadPool* pool) {
-  return pool == nullptr || pool->num_threads() <= 1 ||
-         m * n * k < (1 << 20) || m <= kGemmMC;
-}
-
 }  // namespace
-
-int64_t GemmFlopsTotal() {
-  return g_gemm_flops.load(std::memory_order_relaxed);
-}
 
 void GemmPacked(int64_t m, int64_t n, int64_t k, const float* a, int64_t lda,
                 const float* b, int64_t ldb, float* c, int64_t ldc,
-                const GemmEpilogue& epilogue, KernelScratch* scratch) {
+                const GemmEpilogue& epilogue, ThreadPool* pool) {
   GemmPackedDriver(
       m, n, k, a, lda,
       [&](int64_t pc, int64_t jc, int64_t kc, int64_t nc, float* bp) {
         PackB(b + pc * ldb + jc, ldb, kc, nc, bp);
       },
-      c, ldc, epilogue, scratch);
+      c, ldc, epilogue, pool);
 }
 
 void GemmPackedConv(int64_t m, int64_t n, int64_t k, const float* a,
                     int64_t lda, const ConvPatchView& b, float* c,
                     int64_t ldc, const GemmEpilogue& epilogue,
-                    KernelScratch* scratch) {
+                    ThreadPool* pool) {
   GemmPackedDriver(
       m, n, k, a, lda,
       [&](int64_t pc, int64_t jc, int64_t kc, int64_t nc, float* bp) {
         PackBConv(b, pc, jc, kc, nc, bp);
       },
-      c, ldc, epilogue, scratch);
-}
-
-void GemmPackedParallel(int64_t m, int64_t n, int64_t k, const float* a,
-                        int64_t lda, const float* b, int64_t ldb, float* c,
-                        int64_t ldc, const GemmEpilogue& epilogue,
-                        ThreadPool* pool) {
-  if (ParallelTooSmall(m, n, k, pool)) {
-    GemmPacked(m, n, k, a, lda, b, ldb, c, ldc, epilogue,
-               &KernelScratch::ThreadLocal());
-    return;
-  }
-  GemmPackedParallelDriver(
-      m, n, k, a, lda,
-      [&](int64_t pc, int64_t jc, int64_t kc, int64_t nc, float* bp) {
-        PackB(b + pc * ldb + jc, ldb, kc, nc, bp);
-      },
       c, ldc, epilogue, pool);
-}
-
-void GemmPackedConvParallel(int64_t m, int64_t n, int64_t k, const float* a,
-                            int64_t lda, const ConvPatchView& b, float* c,
-                            int64_t ldc, const GemmEpilogue& epilogue,
-                            ThreadPool* pool) {
-  if (ParallelTooSmall(m, n, k, pool)) {
-    GemmPackedConv(m, n, k, a, lda, b, c, ldc, epilogue,
-                   &KernelScratch::ThreadLocal());
-    return;
-  }
-  GemmPackedParallelDriver(
-      m, n, k, a, lda,
-      [&](int64_t pc, int64_t jc, int64_t kc, int64_t nc, float* bp) {
-        PackBConv(b, pc, jc, kc, nc, bp);
-      },
-      c, ldc, epilogue, pool);
-}
-
-int64_t GemmInt8OpsTotal() {
-  return g_gemm_int8_ops.load(std::memory_order_relaxed);
 }
 
 const char* GemmInt8KernelName() { return g_int8_kernel.name; }
@@ -864,39 +748,8 @@ const char* GemmInt8KernelName() { return g_int8_kernel.name; }
 void GemmPackedInt8(int64_t m, int64_t n, int64_t k, const int8_t* a,
                     int64_t lda, const int8_t* b, int64_t ldb, float* c,
                     int64_t ldc, const GemmInt8Epilogue& epilogue,
-                    KernelScratch* scratch) {
+                    ThreadPool* pool) {
   GemmPackedInt8Driver(
-      m, n, k, a, lda,
-      [&](int64_t pc, int64_t jc, int64_t kc, int64_t nc, uint8_t* bp) {
-        PackBInt8(b + pc * ldb + jc, ldb, kc, nc, bp);
-      },
-      c, ldc, epilogue, scratch);
-}
-
-void GemmPackedConvInt8(int64_t m, int64_t n, int64_t k, const int8_t* a,
-                        int64_t lda, const ConvPatchView& b, float act_scale,
-                        float* c, int64_t ldc,
-                        const GemmInt8Epilogue& epilogue,
-                        KernelScratch* scratch) {
-  GemmPackedInt8Driver(
-      m, n, k, a, lda,
-      [&](int64_t pc, int64_t jc, int64_t kc, int64_t nc, uint8_t* bp) {
-        PackBConvInt8(b, act_scale, pc, jc, kc, nc, bp);
-      },
-      c, ldc, epilogue, scratch);
-}
-
-void GemmPackedInt8Parallel(int64_t m, int64_t n, int64_t k, const int8_t* a,
-                            int64_t lda, const int8_t* b, int64_t ldb,
-                            float* c, int64_t ldc,
-                            const GemmInt8Epilogue& epilogue,
-                            ThreadPool* pool) {
-  if (ParallelTooSmall(m, n, k, pool)) {
-    GemmPackedInt8(m, n, k, a, lda, b, ldb, c, ldc, epilogue,
-                   &KernelScratch::ThreadLocal());
-    return;
-  }
-  GemmPackedInt8ParallelDriver(
       m, n, k, a, lda,
       [&](int64_t pc, int64_t jc, int64_t kc, int64_t nc, uint8_t* bp) {
         PackBInt8(b + pc * ldb + jc, ldb, kc, nc, bp);
@@ -904,18 +757,11 @@ void GemmPackedInt8Parallel(int64_t m, int64_t n, int64_t k, const int8_t* a,
       c, ldc, epilogue, pool);
 }
 
-void GemmPackedConvInt8Parallel(int64_t m, int64_t n, int64_t k,
-                                const int8_t* a, int64_t lda,
-                                const ConvPatchView& b, float act_scale,
-                                float* c, int64_t ldc,
-                                const GemmInt8Epilogue& epilogue,
-                                ThreadPool* pool) {
-  if (ParallelTooSmall(m, n, k, pool)) {
-    GemmPackedConvInt8(m, n, k, a, lda, b, act_scale, c, ldc, epilogue,
-                       &KernelScratch::ThreadLocal());
-    return;
-  }
-  GemmPackedInt8ParallelDriver(
+void GemmPackedConvInt8(int64_t m, int64_t n, int64_t k, const int8_t* a,
+                        int64_t lda, const ConvPatchView& b, float act_scale,
+                        float* c, int64_t ldc,
+                        const GemmInt8Epilogue& epilogue, ThreadPool* pool) {
+  GemmPackedInt8Driver(
       m, n, k, a, lda,
       [&](int64_t pc, int64_t jc, int64_t kc, int64_t nc, uint8_t* bp) {
         PackBConvInt8(b, act_scale, pc, jc, kc, nc, bp);

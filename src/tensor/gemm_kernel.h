@@ -3,8 +3,6 @@
 
 #include <cstdint>
 
-#include "tensor/scratch.h"
-
 namespace vista {
 
 class ThreadPool;
@@ -38,17 +36,25 @@ struct GemmEpilogue {
 /// C (m x n, row stride ldc) = A (m x k, row stride lda) * B (k x n, row
 /// stride ldb), overwriting C, then applies `epilogue`. The row strides
 /// admit strided views into larger tensors, which is what makes grouped
-/// convolution zero-copy. Pack buffers come from `scratch` (slots kPackA /
-/// kPackB), so steady-state calls allocate nothing.
+/// convolution zero-copy. Pack buffers come from thread-local scratch
+/// arenas (slots kPackA / kPackB), so steady-state calls allocate nothing.
+///
+/// A non-null `pool` distributes the kGemmMC-row blocks with
+/// ThreadPool::ParallelFor (caller-inclusive, so this is safe to call from
+/// inside a pool task): B is packed once per panel into the caller's
+/// arena, and each thread packs its own A panels into its arena. Null
+/// `pool`, a 1-thread pool, a problem under ~2 MFLOP, or a single row
+/// block runs every block inline on the calling thread. The result is
+/// bit-identical either way.
 void GemmPacked(int64_t m, int64_t n, int64_t k, const float* a, int64_t lda,
                 const float* b, int64_t ldb, float* c, int64_t ldc,
-                const GemmEpilogue& epilogue, KernelScratch* scratch);
+                const GemmEpilogue& epilogue, ThreadPool* pool);
 
 /// ---- Implicit-GEMM convolution ----------------------------------------
 ///
 /// Geometry of one convolution group's *implicit* patch matrix: the
-/// (C/g * kernel * kernel) x (H_out * W_out) im2col expansion that the
-/// explicit path materializes, described instead by the mapping
+/// (C/g * kernel * kernel) x (H_out * W_out) im2col expansion, described
+/// by the mapping
 ///   B[r][q] = input[c][oy*stride - pad + ky][ox*stride - pad + kx]
 /// with r = (c, ky, kx) row-major over (channel, kernel-y, kernel-x) and
 /// q = (oy, ox) row-major over the output grid; elements whose window
@@ -74,43 +80,21 @@ struct ConvPatchView {
 /// expansion and calling GemmPacked on it (the packer gathers the exact
 /// values PackB would copy, in the same panel order, so the accumulation
 /// order is unchanged — only the operand source differs). `n` must be
-/// h_out * w_out and `k` the patch-row count of the view.
+/// h_out * w_out and `k` the patch-row count of the view. `pool` as in
+/// GemmPacked.
 void GemmPackedConv(int64_t m, int64_t n, int64_t k, const float* a,
                     int64_t lda, const ConvPatchView& b, float* c,
                     int64_t ldc, const GemmEpilogue& epilogue,
-                    KernelScratch* scratch);
-
-/// GemmPackedConv with row-tile parallelism, mirroring GemmPackedParallel:
-/// the implicit B panel is gathered once per (NC, KC) block by the caller,
-/// M blocks are distributed with ParallelFor, per-thread A panels.
-void GemmPackedConvParallel(int64_t m, int64_t n, int64_t k, const float* a,
-                            int64_t lda, const ConvPatchView& b, float* c,
-                            int64_t ldc, const GemmEpilogue& epilogue,
-                            ThreadPool* pool);
-
-/// GemmPacked with row-tile (M-dimension) parallelism across `pool`: the B
-/// panel is packed once by the caller, then the M blocks are distributed
-/// with ThreadPool::ParallelFor (caller-inclusive, so this is safe to call
-/// from inside a pool task). Each participating thread packs its own A
-/// panels into its thread-local arena. Falls back to the serial kernel when
-/// `pool` is null or the problem is too small to amortize dispatch.
-void GemmPackedParallel(int64_t m, int64_t n, int64_t k, const float* a,
-                        int64_t lda, const float* b, int64_t ldb, float* c,
-                        int64_t ldc, const GemmEpilogue& epilogue,
-                        ThreadPool* pool);
-
-/// Cumulative FLOPs executed by the packed GEMM in this process
-/// (2*m*n*k per call, relaxed-atomic). Benches compute achieved GFLOP/s
-/// from deltas around a timed region; see obs gauge "tensor.gemm_gflops".
-int64_t GemmFlopsTotal();
+                    ThreadPool* pool);
 
 /// ---- Quantized (int8) packed GEMM -------------------------------------
 ///
 /// Same BLIS-style structure as the fp32 kernel (6x16 register micro-tile,
-/// MC/NC blocking, panel packing into KernelScratch), but the inner loop
-/// does widening int8 x int8 multiply-accumulate into int32. Because int8
-/// panels are a quarter the size, the K panel quadruples so a packed
-/// kGemmNR-column B strip still fills the same L1 footprint.
+/// MC/NC blocking, panel packing into KernelScratch, the same `pool` row
+/// block schedule), but the inner loop does widening int8 x int8
+/// multiply-accumulate into int32. Because int8 panels are a quarter the
+/// size, the K panel quadruples so a packed kGemmNR-column B strip still
+/// fills the same L1 footprint.
 ///
 /// Packing is k4-blocked to match the VNNI dot-product instruction: A
 /// strips hold [k/4][MR][4] signed bytes, B strips [k/4][NR][4] bytes
@@ -151,22 +135,12 @@ struct GemmInt8Epilogue {
 
 /// C (m x n fp32, row stride ldc) = dequant(A_q (m x k int8) * B_q
 /// (k x n int8)) with the fused epilogue above. Pack buffers come from
-/// `scratch` slots kPackAInt8 / kPackBInt8, so steady-state calls
-/// allocate nothing.
+/// thread-local arena slots kPackAInt8 / kPackBInt8, so steady-state calls
+/// allocate nothing. `pool` as in GemmPacked.
 void GemmPackedInt8(int64_t m, int64_t n, int64_t k, const int8_t* a,
                     int64_t lda, const int8_t* b, int64_t ldb, float* c,
                     int64_t ldc, const GemmInt8Epilogue& epilogue,
-                    KernelScratch* scratch);
-
-/// GemmPackedInt8 with row-tile parallelism across `pool`, mirroring
-/// GemmPackedParallel: B packed once by the caller, M blocks distributed
-/// with ParallelFor, per-thread A panels. Falls back to the serial kernel
-/// when `pool` is null or the problem is too small.
-void GemmPackedInt8Parallel(int64_t m, int64_t n, int64_t k, const int8_t* a,
-                            int64_t lda, const int8_t* b, int64_t ldb,
-                            float* c, int64_t ldc,
-                            const GemmInt8Epilogue& epilogue,
-                            ThreadPool* pool);
+                    ThreadPool* pool);
 
 /// GemmPackedInt8 with the B operand gathered from `b`'s implicit fp32
 /// patch matrix and quantized *during* panel packing: each gathered value
@@ -179,22 +153,7 @@ void GemmPackedInt8Parallel(int64_t m, int64_t n, int64_t k, const int8_t* a,
 void GemmPackedConvInt8(int64_t m, int64_t n, int64_t k, const int8_t* a,
                         int64_t lda, const ConvPatchView& b, float act_scale,
                         float* c, int64_t ldc,
-                        const GemmInt8Epilogue& epilogue,
-                        KernelScratch* scratch);
-
-/// GemmPackedConvInt8 with row-tile parallelism, mirroring
-/// GemmPackedInt8Parallel.
-void GemmPackedConvInt8Parallel(int64_t m, int64_t n, int64_t k,
-                                const int8_t* a, int64_t lda,
-                                const ConvPatchView& b, float act_scale,
-                                float* c, int64_t ldc,
-                                const GemmInt8Epilogue& epilogue,
-                                ThreadPool* pool);
-
-/// Cumulative int8 multiply-accumulate ops (2*m*n*k per call,
-/// relaxed-atomic) — the int8 twin of GemmFlopsTotal(); see obs gauge
-/// "gemm_gops_int8".
-int64_t GemmInt8OpsTotal();
+                        const GemmInt8Epilogue& epilogue, ThreadPool* pool);
 
 /// Name of the int8 micro-kernel selected at startup for this CPU:
 /// "avx512vnni", "avxvnni", or "scalar". Surfaced by the benches.

@@ -12,10 +12,11 @@ namespace vista {
 /// rank-1 vectors). These are the TensorOps of Definition 3.3: each takes a
 /// tensor of a fixed expected shape and produces a tensor of a fixed shape.
 ///
-/// All kernels are pure reference implementations: straightforward loops,
-/// verified by tests against hand-computed results. They are fast enough for
-/// the scaled-down "micro" CNNs used in tests/examples; cluster-scale cost
-/// is handled analytically by the simulator.
+/// All kernels are straightforward loops, verified by tests against
+/// hand-computed results. Conv2D is the correctness oracle for the
+/// production implicit-GEMM conv (tensor/gemm.h); every other kernel here
+/// is the production fp32 path for its op, FullyConnected included (it
+/// runs the fc layers of full-size AlexNet inference).
 
 /// 2-D convolution of a CHW input with KCRS weights (K filters of size
 /// C x R x S), plus a per-filter bias of length K. Zero padding `pad` on all

@@ -190,11 +190,11 @@ Result<df::Table> RealExecutor::RunInference(const PlanStep& step,
   *flops += per_record_flops * input.num_records();
 
   // Inference threading: the engine already runs partitions in parallel;
-  // within a partition the pool runs one task per image. ParallelFor is
+  // within a partition the pool runs one task per image (a one-image
+  // partition spends it inside the kernels). ParallelFor is
   // caller-inclusive, so this nesting cannot deadlock.
   dl::CnnOptions opts;
   opts.pool = engine_->pool();
-  opts.parallelism = dl::CnnParallelism::kInterImage;
   opts.precision = config.precision;
 
   df::MemoryManager& memory = engine_->memory();

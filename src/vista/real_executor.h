@@ -126,8 +126,8 @@ struct RealRunResult {
 /// plans (the paper's Section 5.2 invariant), which the test suite checks.
 class RealExecutor {
  public:
-  /// `engine`, `model` must outlive the executor. `arch_for_flops` is the
-  /// architecture used for FLOP accounting (the model's own arch).
+  /// `engine` and `model` must outlive the executor; FLOP accounting uses
+  /// the model's own architecture.
   RealExecutor(df::Engine* engine, const dl::CnnModel* model);
 
   /// Runs `plan` over the two base tables. `t_img` must carry raw images,

@@ -267,10 +267,11 @@ TEST(TransferFeaturizeTest, VectorOutputsPassThrough) {
   EXPECT_EQ(g->shape(), (Shape{10}));
 }
 
-// Both parallelism modes run the same arithmetic per image as a serial
-// RunRange (inter-image tasks run serial kernels; intra-image row-tile
-// splits pack identically per block), so batched results are bit-identical
-// to the one-image-at-a-time path.
+// Both ways a batch spends the pool run the same arithmetic per image as a
+// serial RunRange (a multi-image batch runs one task per image with serial
+// kernels; a one-image batch passes the pool to its kernels, whose row
+// block splits pack identically per block), so batched results are
+// bit-identical to the one-image-at-a-time path.
 TEST(CnnModelTest, RunRangeBatchMatchesSerialBothModes) {
   auto arch = TinyArch();
   ASSERT_TRUE(arch.ok());
@@ -289,21 +290,22 @@ TEST(CnnModelTest, RunRangeBatchMatchesSerialBothModes) {
   }
 
   ThreadPool pool(4);
-  for (CnnParallelism mode :
-       {CnnParallelism::kInterImage, CnnParallelism::kIntraImage}) {
-    CnnOptions opts;
-    opts.pool = &pool;
-    opts.parallelism = mode;
-    auto batch =
-        model->RunRangeBatch(images, 0, arch->num_layers() - 1, opts);
-    ASSERT_TRUE(batch.ok());
-    ASSERT_EQ(batch->size(), images.size());
-    for (size_t i = 0; i < images.size(); ++i) {
-      ASSERT_EQ(expected[i].shape(), (*batch)[i].shape());
+  CnnOptions opts;
+  opts.pool = &pool;
+  auto batch = model->RunRangeBatch(images, 0, arch->num_layers() - 1, opts);
+  ASSERT_TRUE(batch.ok());
+  ASSERT_EQ(batch->size(), images.size());
+  for (size_t i = 0; i < images.size(); ++i) {
+    auto single =
+        model->RunRangeBatch({images[i]}, 0, arch->num_layers() - 1, opts);
+    ASSERT_TRUE(single.ok());
+    ASSERT_EQ(single->size(), 1u);
+    for (const Tensor* got : {&(*batch)[i], &(*single)[0]}) {
+      ASSERT_EQ(expected[i].shape(), got->shape());
       for (int64_t j = 0; j < expected[i].num_elements(); ++j) {
-        ASSERT_EQ(expected[i].at(j), (*batch)[i].at(j))
-            << "mode=" << static_cast<int>(mode) << " image " << i
-            << " elem " << j;
+        ASSERT_EQ(expected[i].at(j), got->at(j))
+            << (got == &(*single)[0] ? "one-image" : "per-image tasks")
+            << " image " << i << " elem " << j;
       }
     }
   }

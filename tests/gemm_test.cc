@@ -196,7 +196,7 @@ TEST(Conv2DGemmTest, FusedReluMatchesSeparateRelu) {
 // Intra-GEMM parallelism partitions work by row blocks but performs the
 // same packing and micro-kernel arithmetic per block, so the result must
 // be bit-identical to the serial kernel.
-TEST(GemmPackedParallelTest, BitIdenticalToSerial) {
+TEST(GemmPackedPoolTest, BitIdenticalToSerial) {
   Rng rng(7);
   const int64_t m = 256, n = 200, k = 64;
   Tensor a = Tensor::RandomGaussian(Shape{m, k}, &rng);
@@ -208,12 +208,12 @@ TEST(GemmPackedParallelTest, BitIdenticalToSerial) {
 
   Tensor serial(Shape{m, n});
   GemmPacked(m, n, k, a.data(), k, b.data(), n, serial.mutable_data(), n,
-             epilogue, &KernelScratch::ThreadLocal());
+             epilogue, nullptr);
 
   ThreadPool pool(4);
   Tensor parallel(Shape{m, n});
-  GemmPackedParallel(m, n, k, a.data(), k, b.data(), n,
-                     parallel.mutable_data(), n, epilogue, &pool);
+  GemmPacked(m, n, k, a.data(), k, b.data(), n, parallel.mutable_data(), n,
+             epilogue, &pool);
   for (int64_t i = 0; i < serial.num_elements(); ++i) {
     ASSERT_EQ(serial.at(i), parallel.at(i)) << "at " << i;
   }

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <thread>
 #include <vector>
 
 #include "common/random.h"
@@ -28,7 +29,9 @@ void ExpectBitIdentical(const Tensor& a, const Tensor& b) {
 // non-square inputs whose bottom/right effective padding differs from the
 // top/left (h or w not congruent with the window), grouped convolution,
 // even kernels, and the 1x1/stride-1/pad-0 fast path that skips the
-// gather entirely.
+// gather entirely. The two 128-filters-per-group cases are large enough
+// (m > kGemmMC, m*n*k >= 2^20) for a pool to split their row blocks,
+// leaving a partial last block.
 struct ImplicitConvCase {
   int channels, h, w, filters, kernel, stride, pad, groups;
 };
@@ -86,7 +89,9 @@ INSTANTIATE_TEST_SUITE_P(
         ImplicitConvCase{16, 8, 8, 24, 1, 1, 0, 1},   // 1x1 fast path
         ImplicitConvCase{9, 7, 5, 6, 3, 2, 0, 3},     // grouped, no pad
         ImplicitConvCase{4, 6, 6, 6, 2, 2, 1, 2},       // even kernel
-        ImplicitConvCase{3, 35, 29, 7, 3, 2, 1, 1}));   // big non-square grid
+        ImplicitConvCase{3, 35, 29, 7, 3, 2, 1, 1},     // big non-square grid
+        ImplicitConvCase{16, 20, 20, 128, 3, 1, 1, 1},  // row-parallel
+        ImplicitConvCase{16, 14, 14, 256, 3, 1, 1, 2}));  // grouped, parallel
 
 // The fast path must actually be exercised and still agree: a 1x1
 // stride-1 pad-0 conv feeds the input tensor to the packed GEMM in place.
@@ -106,6 +111,7 @@ TEST(ImplicitConvFastPathTest, OneByOneMatchesDirect) {
 // accumulators (empty epilogue mode) must equal a direct integer
 // convolution over the same quantized input and weights — an independent
 // oracle with no GEMM and no im2col. Integer sums are exact in any order.
+// The pool-parallel Conv2DGemmInt8 must equal the serial one bit for bit.
 class ImplicitConvInt8Test
     : public ::testing::TestWithParam<ImplicitConvCase> {};
 
@@ -130,7 +136,6 @@ TEST_P(ImplicitConvInt8Test, AccumulatorsMatchDirectIntegerConv) {
   const int64_t w_out = (c.w + 2 * c.pad - c.kernel) / c.stride + 1;
   const int64_t spatial = h_out * w_out;
   std::vector<float> got(static_cast<size_t>(m * spatial));
-  KernelScratch scratch;
   for (int64_t gi = 0; gi < c.groups; ++gi) {
     const int8_t* a_g = qw->data.data() + gi * m * rows;
     ConvPatchView view;
@@ -143,7 +148,7 @@ TEST_P(ImplicitConvInt8Test, AccumulatorsMatchDirectIntegerConv) {
     view.w_out = w_out;
     // Empty epilogue: raw int32 sums are left bit-cast in C.
     GemmPackedConvInt8(m, spatial, rows, a_g, rows, view, act_scale,
-                       got.data(), spatial, GemmInt8Epilogue{}, &scratch);
+                       got.data(), spatial, GemmInt8Epilogue{}, nullptr);
     for (int64_t f = 0; f < m; ++f) {
       const int8_t* w_f = a_g + f * rows;
       const float* got_f = got.data() + f * spatial;
@@ -170,6 +175,16 @@ TEST_P(ImplicitConvInt8Test, AccumulatorsMatchDirectIntegerConv) {
       }
     }
   }
+
+  Tensor b = Tensor::RandomGaussian(Shape{c.filters}, &rng);
+  ThreadPool pool(3);
+  auto serial = Conv2DGemmInt8(input, *qw, b, c.stride, c.pad, c.groups,
+                               /*relu=*/true, act_scale, nullptr);
+  ASSERT_TRUE(serial.ok()) << serial.status().ToString();
+  auto parallel = Conv2DGemmInt8(input, *qw, b, c.stride, c.pad, c.groups,
+                                 /*relu=*/true, act_scale, &pool);
+  ASSERT_TRUE(parallel.ok());
+  ExpectBitIdentical(*serial, *parallel);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -180,11 +195,14 @@ INSTANTIATE_TEST_SUITE_P(
         ImplicitConvCase{6, 13, 10, 9, 3, 3, 2, 1},
         ImplicitConvCase{12, 10, 10, 8, 5, 2, 2, 4},
         ImplicitConvCase{16, 8, 8, 24, 1, 1, 0, 1},
-        ImplicitConvCase{9, 7, 5, 6, 3, 2, 0, 3}));
+        ImplicitConvCase{9, 7, 5, 6, 3, 2, 0, 3},
+        ImplicitConvCase{16, 20, 20, 128, 3, 1, 1, 1},
+        ImplicitConvCase{16, 14, 14, 256, 3, 1, 1, 2}));
 
 // The estimator's Eq. 16 Temp figure must track what the kernel actually
 // acquires: ConvTempBytes mirrors the drivers' literal Acquire sizes, so
-// on a fresh arena the measured high-water equals the prediction exactly.
+// on a fresh arena — a new thread's — the measured high-water equals the
+// prediction exactly.
 TEST(ImplicitConvScratchTest, ConvTempBytesMatchesMeasuredPeak) {
   auto arch = dl::MicroAlexNetArch();
   ASSERT_TRUE(arch.ok());
@@ -212,22 +230,26 @@ TEST(ImplicitConvScratchTest, ConvTempBytesMatchesMeasuredPeak) {
       &rng);
   std::vector<float> out(
       static_cast<size_t>(conv->out_channels * h_out * w_out));
-  KernelScratch arena;
-  for (int gi = 0; gi < groups; ++gi) {
-    ConvPatchView view;
-    view.input = input.data() + gi * (c_in / groups) * h * w;
-    view.h = h;
-    view.w = w;
-    view.kernel = conv->kernel;
-    view.stride = conv->stride;
-    view.pad = conv->pad;
-    view.w_out = w_out;
-    const int64_t m = conv->out_channels / groups;
-    GemmPackedConv(m, h_out * w_out, rows, weights.data() + gi * m * rows,
-                   rows, view, out.data() + gi * m * h_out * w_out,
-                   h_out * w_out, GemmEpilogue{}, &arena);
-  }
-  EXPECT_EQ(arena.peak_bytes(), ConvTempBytes(*arch, 0));
+  int64_t peak_bytes = 0;
+  std::thread fresh([&] {
+    for (int gi = 0; gi < groups; ++gi) {
+      ConvPatchView view;
+      view.input = input.data() + gi * (c_in / groups) * h * w;
+      view.h = h;
+      view.w = w;
+      view.kernel = conv->kernel;
+      view.stride = conv->stride;
+      view.pad = conv->pad;
+      view.w_out = w_out;
+      const int64_t m = conv->out_channels / groups;
+      GemmPackedConv(m, h_out * w_out, rows, weights.data() + gi * m * rows,
+                     rows, view, out.data() + gi * m * h_out * w_out,
+                     h_out * w_out, GemmEpilogue{}, nullptr);
+    }
+    peak_bytes = KernelScratch::ThreadLocal().peak_bytes();
+  });
+  fresh.join();
+  EXPECT_EQ(peak_bytes, ConvTempBytes(*arch, 0));
   EXPECT_GT(KernelScratch::GlobalPeakBytes(), 0);
 }
 
