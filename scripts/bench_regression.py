@@ -61,6 +61,11 @@ BENCHES = {
             # shape, and its pool-parallel bit-identity indicator.
             ("implicit_conv_int8", "speedup_vs_fp32"),
             ("implicit_conv_int8", "parallel_bit_identical"),
+            # Batched FC: a 16-image GEMM gives every image the same bits
+            # as a batch of one, fp32 and int8, with the pool (0/1).
+            ("fc_batch", "bit_identical"),
+            # Pool speedup over the parallel throughput the host measurably
+            # gives (a 1-vs-N-thread compute probe), not its core count.
             ("batched_inference", "efficiency_normalized"),
         ],
         "informational": [
@@ -77,6 +82,11 @@ BENCHES = {
             ("batched_inference", "serial_ms"),
             ("batched_inference", "parallel_ms"),
             ("batched_inference", "efficiency_raw"),
+            ("batched_inference", "measured_scaling"),
+            ("fc_batch", "fp32_batch_ms"),
+            ("fc_batch", "fp32_one_by_one_ms"),
+            ("fc_batch", "int8_batch_ms"),
+            ("fc_batch", "int8_one_by_one_ms"),
         ],
     },
     "shuffle": {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 
 #include "common/thread_pool.h"
 #include "tensor/gemm.h"
@@ -199,6 +200,7 @@ Result<CnnModel> CnnModel::Instantiate(const CnnArchitecture& arch,
       if (op.kind == OpKind::kConv || op.kind == OpKind::kFc) {
         quant_flops += stat.flops;
       }
+      if (op.kind == OpKind::kFc) layer.has_fc = true;
       shape = stat.output_shape;
       layer.primitives.push_back(std::move(prim));
     }
@@ -214,7 +216,37 @@ Result<Tensor> CnnModel::Run(const Tensor& image) const {
 
 Result<Tensor> CnnModel::RunRange(const Tensor& input, int from, int to,
                                   const CnnOptions& opts) const {
-  ThreadPool* pool = opts.pool;
+  VISTA_ASSIGN_OR_RETURN(std::vector<Tensor> out,
+                         RunRangeBatch({input}, from, to, opts));
+  return std::move(out.front());
+}
+
+namespace {
+
+/// Runs `step(i, kernel_pool)` for every image i in [0, n): one pool task
+/// per image with serial kernels when the pool has more than one thread and
+/// there is more than one image; otherwise in order, with the pool (if any)
+/// handed to the image's kernels. Returns the lowest-indexed failure.
+/// Failures land in per-image Status slots (pool tasks must not throw).
+Status ForEachImage(size_t n, ThreadPool* pool,
+                    const std::function<Status(size_t, ThreadPool*)>& step) {
+  if (pool == nullptr || pool->num_threads() <= 1 || n <= 1) {
+    for (size_t i = 0; i < n; ++i) VISTA_RETURN_IF_ERROR(step(i, pool));
+    return Status::OK();
+  }
+  std::vector<Status> statuses(n);
+  pool->ParallelFor(static_cast<int64_t>(n), [&](int64_t i) {
+    statuses[static_cast<size_t>(i)] = step(static_cast<size_t>(i), nullptr);
+  });
+  for (const Status& s : statuses) VISTA_RETURN_IF_ERROR(s);
+  return Status::OK();
+}
+
+}  // namespace
+
+Result<std::vector<Tensor>> CnnModel::RunRangeBatch(
+    const std::vector<Tensor>& inputs, int from, int to,
+    const CnnOptions& opts) const {
   if (opts.precision == Precision::kInt8 && !int8_calibrated_) {
     return Status::FailedPrecondition(
         "RunRange: int8 precision requested for " + arch_->name() +
@@ -228,66 +260,81 @@ Result<Tensor> CnnModel::RunRange(const Tensor& input, int from, int to,
   const Shape& expected = from == 0
                               ? arch_->input_shape()
                               : arch_->layer(from - 1).output_shape;
-  if (input.shape() != expected &&
-      input.num_elements() != expected.num_elements()) {
-    return Status::InvalidArgument(
-        "RunRange: input shape " + input.shape().ToString() +
-        " is not shape-compatible with layer " + std::to_string(from) +
-        " of " + arch_->name() + " (expected " + expected.ToString() + ")");
+  std::vector<Tensor> t;
+  t.reserve(inputs.size());
+  for (const Tensor& input : inputs) {
+    if (input.shape() == expected) {
+      t.push_back(input);
+      continue;
+    }
+    if (input.num_elements() != expected.num_elements()) {
+      return Status::InvalidArgument(
+          "RunRange: input shape " + input.shape().ToString() +
+          " is not shape-compatible with layer " + std::to_string(from) +
+          " of " + arch_->name() + " (expected " + expected.ToString() +
+          ")");
+    }
+    // Flattened inputs (e.g. features stored as vectors in the dataflow
+    // engine) are reshaped back to the layer's expected tensor shape.
+    t.emplace_back(expected,
+                   std::vector<float>(input.data(),
+                                      input.data() + input.num_elements()));
   }
-  // Flattened inputs (e.g. features stored as vectors in the dataflow
-  // engine) are reshaped back to the layer's expected tensor shape.
-  Tensor t = input.shape() == expected
-                 ? input
-                 : Tensor(expected, std::vector<float>(
-                                        input.data(),
-                                        input.data() + input.num_elements()));
+  if (t.empty()) return t;  // No work, so no profiling samples.
+
   const bool int8 = opts.precision == Precision::kInt8;
-  for (int li = from; li <= to; ++li) {
-    obs::ScopedLatency latency(
-        layer_forward_ms_.empty() ? nullptr : layer_forward_ms_[li]);
-    if (!layer_flops_.empty()) layer_flops_[li]->Add(arch_->layer(li).flops);
-    if (int8 && !layer_int8_ops_.empty()) {
-      layer_int8_ops_[li]->Add(layer_quant_flops_[li]);
+  const auto latency_of = [this](int li) {
+    return layer_forward_ms_.empty() ? nullptr : layer_forward_ms_[li];
+  };
+  const auto count = [&](int li, int64_t images) {
+    if (layer_flops_.empty()) return;
+    layer_flops_[li]->Add(arch_->layer(li).flops * images);
+    if (int8) layer_int8_ops_[li]->Add(layer_quant_flops_[li] * images);
+  };
+  int li = from;
+  while (li <= to) {
+    if (!layers_[li].has_fc) {
+      // A maximal run of FC-free layers: each image runs the whole run as
+      // its own chain, so only one activation per image is live at a time.
+      int end = li;
+      while (end < to && !layers_[end + 1].has_fc) ++end;
+      VISTA_RETURN_IF_ERROR(ForEachImage(
+          t.size(), opts.pool, [&](size_t i, ThreadPool* kernels) -> Status {
+            for (int l = li; l <= end; ++l) {
+              obs::ScopedLatency latency(latency_of(l));
+              count(l, 1);
+              for (const PrimitiveInstance& prim : layers_[l].primitives) {
+                VISTA_ASSIGN_OR_RETURN(
+                    t[i], ApplyPrimitive(prim, t[i], kernels,
+                                         opts.precision));
+              }
+            }
+            return Status::OK();
+          }));
+      li = end + 1;
+      continue;
     }
+    // A layer with an FC primitive advances the batch together: every kFc
+    // primitive runs as packed GEMMs over blocks of images, and any other
+    // primitive in the layer runs per image.
+    obs::ScopedLatency latency(latency_of(li));
+    count(li, static_cast<int64_t>(t.size()));
     for (const PrimitiveInstance& prim : layers_[li].primitives) {
-      VISTA_ASSIGN_OR_RETURN(t, ApplyPrimitive(prim, t, pool,
-                                               opts.precision));
+      if (prim.spec.kind == OpKind::kFc) {
+        VISTA_ASSIGN_OR_RETURN(
+            t, ApplyFcBatch(prim, t, opts.pool, opts.precision));
+        continue;
+      }
+      VISTA_RETURN_IF_ERROR(ForEachImage(
+          t.size(), opts.pool, [&](size_t i, ThreadPool* kernels) -> Status {
+            VISTA_ASSIGN_OR_RETURN(
+                t[i], ApplyPrimitive(prim, t[i], kernels, opts.precision));
+            return Status::OK();
+          }));
     }
+    ++li;
   }
   return t;
-}
-
-Result<std::vector<Tensor>> CnnModel::RunRangeBatch(
-    const std::vector<Tensor>& inputs, int from, int to,
-    const CnnOptions& opts) const {
-  std::vector<Tensor> out(inputs.size());
-  if (inputs.empty()) return out;
-  ThreadPool* pool = opts.pool;
-  if (pool == nullptr || pool->num_threads() <= 1 || inputs.size() == 1) {
-    // Serial over images; a non-null pool is spent inside each kernel.
-    for (size_t i = 0; i < inputs.size(); ++i) {
-      VISTA_ASSIGN_OR_RETURN(out[i], RunRange(inputs[i], from, to, opts));
-    }
-    return out;
-  }
-  // One task per image, each with serial kernels; failures land in
-  // per-image Status slots (pool tasks must not throw).
-  CnnOptions per_image = opts;
-  per_image.pool = nullptr;
-  std::vector<Status> statuses(inputs.size());
-  pool->ParallelFor(static_cast<int64_t>(inputs.size()), [&](int64_t i) {
-    auto run = RunRange(inputs[i], from, to, per_image);
-    if (run.ok()) {
-      out[i] = std::move(run).value();
-    } else {
-      statuses[i] = run.status();
-    }
-  });
-  for (const Status& s : statuses) {
-    VISTA_RETURN_IF_ERROR(s);
-  }
-  return out;
 }
 
 void CnnModel::EnableProfiling(obs::Registry* registry) {

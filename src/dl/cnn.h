@@ -149,19 +149,28 @@ class CnnModel {
 
   /// Partial inference f̂_{from→to}: `input` must be the output of logical
   /// layer `from - 1` (or the raw image iff from == 0); runs logical layers
-  /// [from, to] inclusive. A non-null `opts.pool` parallelizes each
-  /// convolution across its GEMM row tiles, and `opts.precision` selects
-  /// the numeric path. FailedPrecondition when int8 is requested without
-  /// calibration.
+  /// [from, to] inclusive. This is RunRangeBatch over a batch of one, so
+  /// its bits equal that image's output in any batch. A non-null
+  /// `opts.pool` parallelizes each conv and FC GEMM across its row tiles,
+  /// and `opts.precision` selects the numeric path. FailedPrecondition
+  /// when int8 is requested without calibration.
   Result<Tensor> RunRange(const Tensor& input, int from, int to,
                           const CnnOptions& opts = {}) const;
 
-  /// Batched partial inference: RunRange over every tensor in `inputs`.
-  /// With a multi-thread `opts.pool` and more than one image, each image is
-  /// one pool task with serial kernels; otherwise images run in order and
-  /// the pool, if any, goes to each image's kernels. Results are
-  /// positionally aligned with `inputs`; the first per-image failure aborts
-  /// the batch.
+  /// Batched partial inference over every tensor in `inputs` — a Spark
+  /// partition handed to the DL system whole. Each maximal run of layers
+  /// without an FC primitive runs per image: with a multi-thread
+  /// `opts.pool` and more than one image each image is one pool task with
+  /// serial kernels; otherwise images run in order and the pool, if any,
+  /// goes to each image's kernels. A layer with an FC primitive advances
+  /// the batch together: each kFc primitive is one packed GEMM per block of
+  /// up to kFcBlockColumns images (ApplyFcBatch, with the pool splitting
+  /// its row blocks), so the layer's weights stream once per block; any
+  /// other primitive in it runs per image as above. Convs never run over
+  /// the batch, so only one conv activation per image is live at a time.
+  /// Every output is bit-identical at any batch size, with or without a
+  /// pool. Results are positionally aligned with `inputs`; the first
+  /// failure aborts the batch.
   Result<std::vector<Tensor>> RunRangeBatch(const std::vector<Tensor>& inputs,
                                             int from, int to,
                                             const CnnOptions& opts = {}) const;
@@ -182,9 +191,11 @@ class CnnModel {
   Status SetWeights(const std::vector<Tensor>& weights);
 
   /// Calibrates the model for int8 inference: one fp32 forward pass per
-  /// calibration image records each kConv/kFc primitive's input max-abs
-  /// (per-tensor symmetric activation scale), then every such primitive's
-  /// weight tensor is quantized per output channel. Idempotent;
+  /// calibration image (ApplyPrimitive, so FC layers take the batched GEMM
+  /// path at n = 1, with the same bits as any partition) records each
+  /// kConv/kFc primitive's input max-abs (per-tensor symmetric activation
+  /// scale), then every such primitive's weight tensor is quantized per
+  /// output channel. Idempotent;
   /// recalibrating replaces the scales. The batch must be non-empty and
   /// shape-compatible with the architecture's input.
   Status CalibrateInt8(const std::vector<Tensor>& images);
@@ -193,15 +204,18 @@ class CnnModel {
   /// replaced since).
   bool has_int8_calibration() const { return int8_calibrated_; }
 
-  /// Turns on per-layer forward profiling: every subsequent RunRange
-  /// records each logical layer's wall time into a
+  /// Turns on per-layer forward profiling: every subsequent RunRange /
+  /// RunRangeBatch records each logical layer's wall time into a
   /// "dl.forward_ms.<arch>.<layer>" histogram and adds the layer's analytic
-  /// FLOPs to a "dl.flops.<arch>.<layer>" counter in `registry`
-  /// (instruments resolved here, once) — the counters divide into the
-  /// histograms for achieved per-layer GFLOP/s. Int8 runs additionally add
-  /// the layer's quantizable (kConv/kFc) ops to a
-  /// "dl.int8_ops.<arch>.<layer>" counter. Null disables profiling again.
-  /// The registry must outlive the model.
+  /// FLOPs, once per image, to a "dl.flops.<arch>.<layer>" counter in
+  /// `registry` (instruments resolved here, once) — the counters divide
+  /// into the histograms' sums for achieved per-layer GFLOP/s. One
+  /// histogram sample is one image's pass through an FC-free layer, but
+  /// one whole batch's pass through a layer with an FC primitive (its
+  /// counter then adds FLOPs x batch size in one step). Int8 runs
+  /// additionally add the layer's quantizable (kConv/kFc) ops per image to
+  /// a "dl.int8_ops.<arch>.<layer>" counter. Null disables profiling
+  /// again. The registry must outlive the model.
   void EnableProfiling(obs::Registry* registry);
 
   /// Analytic ops of logical layer `i` that run on the quantized kernel
@@ -212,6 +226,8 @@ class CnnModel {
  private:
   struct LayerInstance {
     std::vector<PrimitiveInstance> primitives;
+    /// True when a kFc primitive makes this layer a batch step.
+    bool has_fc = false;
   };
 
   std::shared_ptr<const CnnArchitecture> arch_;

@@ -127,18 +127,48 @@ Result<PrimitiveInstance> InstantiatePrimitive(const OpSpec& op,
   return prim;
 }
 
+namespace {
+
+/// True when `prim` runs on the quantized GEMM at `precision`;
+/// FailedPrecondition when it should but was never calibrated.
+Result<bool> RunsInt8(const PrimitiveInstance& prim, Precision precision) {
+  const OpKind kind = prim.spec.kind;
+  const bool int8 = precision == Precision::kInt8 &&
+                    (kind == OpKind::kConv || kind == OpKind::kFc);
+  if (int8 && !prim.quant.ready) {
+    return Status::FailedPrecondition(
+        "int8 inference requested but primitive '" +
+        std::string(OpKindToString(kind)) +
+        "' has no calibration (run CnnModel::CalibrateInt8 first)");
+  }
+  return int8;
+}
+
+}  // namespace
+
+Result<std::vector<Tensor>> ApplyFcBatch(const PrimitiveInstance& prim,
+                                         const std::vector<Tensor>& inputs,
+                                         ThreadPool* pool,
+                                         Precision precision) {
+  if (prim.spec.kind != OpKind::kFc) {
+    return Status::InvalidArgument("ApplyFcBatch: primitive is not FC");
+  }
+  VISTA_ASSIGN_OR_RETURN(const bool int8, RunsInt8(prim, precision));
+  // ReLU rides the GEMM epilogue in both precisions.
+  if (int8) {
+    return FullyConnectedGemmInt8(inputs, prim.quant.weights,
+                                  prim.weights[1], prim.spec.relu,
+                                  prim.quant.act_scale, pool);
+  }
+  return FullyConnectedGemm(inputs, prim.weights[0], prim.weights[1],
+                            prim.spec.relu, pool);
+}
+
 Result<Tensor> ApplyPrimitive(const PrimitiveInstance& prim,
                               const Tensor& input, ThreadPool* pool,
                               Precision precision) {
   const OpSpec& op = prim.spec;
-  const bool int8 = precision == Precision::kInt8 &&
-                    (op.kind == OpKind::kConv || op.kind == OpKind::kFc);
-  if (int8 && !prim.quant.ready) {
-    return Status::FailedPrecondition(
-        "int8 inference requested but primitive '" +
-        std::string(OpKindToString(op.kind)) +
-        "' has no calibration (run CnnModel::CalibrateInt8 first)");
-  }
+  VISTA_ASSIGN_OR_RETURN(const bool int8, RunsInt8(prim, precision));
   switch (op.kind) {
     case OpKind::kConv:
       // ReLU rides the GEMM epilogue: no separate output pass.
@@ -158,16 +188,11 @@ Result<Tensor> ApplyPrimitive(const PrimitiveInstance& prim,
     case OpKind::kLrn:
       return LocalResponseNorm(input);
     case OpKind::kFc: {
-      Tensor x = input.shape().rank() == 1 ? input : input.Flatten();
-      if (int8) {
-        // ReLU is fused into the quantized epilogue.
-        return FullyConnectedInt8(x, prim.quant.weights, prim.weights[1],
-                                  op.relu, prim.quant.act_scale);
-      }
-      VISTA_ASSIGN_OR_RETURN(
-          Tensor out, FullyConnected(x, prim.weights[0], prim.weights[1]));
-      if (op.relu) out = Relu(out);
-      return out;
+      // A batch of one through the batched path: the same bits as the
+      // image's column of any larger batch.
+      VISTA_ASSIGN_OR_RETURN(std::vector<Tensor> out,
+                             ApplyFcBatch(prim, {input}, pool, precision));
+      return std::move(out.front());
     }
     case OpKind::kFlatten:
       return input.Flatten();

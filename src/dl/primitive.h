@@ -70,14 +70,26 @@ Result<PrimitiveInstance> InstantiatePrimitive(const OpSpec& op,
 
 /// Executes one primitive on `input`. The input must be shape-compatible
 /// with the shape the primitive was instantiated for. A non-null `pool`
-/// parallelizes the convolution GEMMs across their row tiles (intra-image
-/// parallelism); convolution ReLUs are fused into the GEMM epilogue either
+/// parallelizes the conv and FC GEMMs across their row tiles (intra-image
+/// parallelism); conv and FC ReLUs are fused into the GEMM epilogue either
 /// way. Precision::kInt8 routes calibrated kConv/kFc primitives through
 /// the quantized GEMM (FailedPrecondition if the primitive was never
-/// calibrated); other primitive kinds ignore the precision.
+/// calibrated); other primitive kinds ignore the precision. A kFc
+/// primitive runs as ApplyFcBatch over a batch of one.
 Result<Tensor> ApplyPrimitive(const PrimitiveInstance& prim,
                               const Tensor& input, ThreadPool* pool = nullptr,
                               Precision precision = Precision::kFp32);
+
+/// Executes a kFc primitive over a whole batch, one packed GEMM per block
+/// of up to kFcBlockColumns inputs (tensor/gemm.h's FullyConnectedGemm /
+/// FullyConnectedGemmInt8). Every
+/// input needs the primitive's input element count (any shape); outputs
+/// are rank-1 and aligned with `inputs`. Output j is bit-identical to
+/// ApplyPrimitive on inputs[j] alone, at any batch size and with or
+/// without `pool`. Precision as in ApplyPrimitive.
+Result<std::vector<Tensor>> ApplyFcBatch(
+    const PrimitiveInstance& prim, const std::vector<Tensor>& inputs,
+    ThreadPool* pool = nullptr, Precision precision = Precision::kFp32);
 
 }  // namespace vista::dl
 

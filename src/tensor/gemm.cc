@@ -1,6 +1,8 @@
 #include "tensor/gemm.h"
 
 #include <algorithm>
+#include <string>
+#include <vector>
 
 #include "tensor/gemm_kernel.h"
 #include "tensor/scratch.h"
@@ -79,6 +81,54 @@ Status ComputeConvGeom(const char* name, const Shape& in_shape,
   g->spatial = g->h_out * g->w_out;
   g->k_per_group = g->k_total / groups;
   return Status::OK();
+}
+
+/// Shape checks shared by the FullyConnectedGemm* pair: rank-2 (out x in)
+/// weights, a length-out bias, and `in` elements in every input (any shape:
+/// a CHW conv output feeds an FC layer without a flatten copy).
+Status CheckFcShapes(const char* name, const std::vector<Tensor>& inputs,
+                     const Shape& ws, const Shape& bias_shape) {
+  const std::string p(name);
+  if (ws.rank() != 2 || bias_shape.rank() != 1) {
+    return Status::InvalidArgument(p + ": bad weights/bias rank");
+  }
+  if (bias_shape.dim(0) != ws.dim(0)) {
+    return Status::InvalidArgument(p + ": bias length mismatch");
+  }
+  for (size_t j = 0; j < inputs.size(); ++j) {
+    if (inputs[j].num_elements() != ws.dim(1)) {
+      return Status::InvalidArgument(
+          p + ": input " + std::to_string(j) + " has " +
+          std::to_string(inputs[j].num_elements()) +
+          " elements, weights expect " + std::to_string(ws.dim(1)));
+    }
+  }
+  return Status::OK();
+}
+
+/// Runs a batched FC layer over `n` inputs in column blocks of at most
+/// kFcBlockColumns: `block(j0, nb, c)` stages inputs [j0, j0 + nb) and
+/// runs one GEMM into the out x nb result `c` (kFcOutput slot), whose
+/// column j becomes input j0 + j's rank-1 output. The first block is the
+/// widest, so a fresh arena acquires each slot once.
+template <typename BlockFn>
+std::vector<Tensor> FcByColumnBlocks(int64_t n, int64_t out_dim,
+                                     BlockFn&& block) {
+  std::vector<Tensor> outputs;
+  outputs.reserve(static_cast<size_t>(n));
+  for (int64_t j0 = 0; j0 < n; j0 += kFcBlockColumns) {
+    const int64_t nb = std::min(kFcBlockColumns, n - j0);
+    float* c = KernelScratch::ThreadLocal().Acquire(
+        KernelScratch::Slot::kFcOutput, static_cast<size_t>(out_dim * nb));
+    block(j0, nb, c);
+    for (int64_t j = 0; j < nb; ++j) {
+      Tensor t(Shape{out_dim});
+      float* o = t.mutable_data();
+      for (int64_t r = 0; r < out_dim; ++r) o[r] = c[r * nb + j];
+      outputs.push_back(std::move(t));
+    }
+  }
+  return outputs;
 }
 
 }  // namespace
@@ -213,45 +263,72 @@ Result<Tensor> Conv2DGemmInt8(const Tensor& input, const QuantizedWeights& qw,
   return out;
 }
 
-Result<Tensor> FullyConnectedInt8(const Tensor& input,
-                                  const QuantizedWeights& qw,
-                                  const Tensor& bias, bool relu,
-                                  float act_scale) {
-  const Shape& ws = qw.shape;
-  if (ws.rank() != 2 || bias.shape().rank() != 1) {
+Result<std::vector<Tensor>> FullyConnectedGemm(
+    const std::vector<Tensor>& inputs, const Tensor& weights,
+    const Tensor& bias, bool relu, ThreadPool* pool) {
+  VISTA_RETURN_IF_ERROR(CheckFcShapes("FullyConnectedGemm", inputs,
+                                      weights.shape(), bias.shape()));
+  const int64_t out_dim = weights.shape().dim(0);
+  const int64_t in_dim = weights.shape().dim(1);
+  GemmEpilogue epilogue;
+  epilogue.bias = bias.data();
+  epilogue.relu = relu;
+  return FcByColumnBlocks(
+      static_cast<int64_t>(inputs.size()), out_dim,
+      [&](int64_t j0, int64_t nb, float* c) {
+        float* b = KernelScratch::ThreadLocal().Acquire(
+            KernelScratch::Slot::kFcInput, static_cast<size_t>(in_dim * nb));
+        for (int64_t j = 0; j < nb; ++j) {
+          const float* x = inputs[static_cast<size_t>(j0 + j)].data();
+          for (int64_t p = 0; p < in_dim; ++p) b[p * nb + j] = x[p];
+        }
+        GemmPacked(out_dim, nb, in_dim, weights.data(), in_dim, b, nb, c, nb,
+                   epilogue, pool);
+      });
+}
+
+Result<std::vector<Tensor>> FullyConnectedGemmInt8(
+    const std::vector<Tensor>& inputs, const QuantizedWeights& qw,
+    const Tensor& bias, bool relu, float act_scale, ThreadPool* pool) {
+  VISTA_RETURN_IF_ERROR(CheckFcShapes("FullyConnectedGemmInt8", inputs,
+                                      qw.shape, bias.shape()));
+  const int64_t out_dim = qw.shape.dim(0);
+  const int64_t in_dim = qw.shape.dim(1);
+  if (static_cast<int64_t>(qw.scales.size()) != out_dim ||
+      static_cast<int64_t>(qw.data.size()) != out_dim * in_dim) {
     return Status::InvalidArgument(
-        "FullyConnectedInt8: bad weights/bias rank");
+        "FullyConnectedGemmInt8: quantized weights are inconsistent");
   }
-  const int64_t out_dim = ws.dim(0);
-  const int64_t in_dim = ws.dim(1);
-  if (input.num_elements() != in_dim) {
-    return Status::InvalidArgument(
-        "FullyConnectedInt8: input has " +
-        std::to_string(input.num_elements()) + " elements, weights expect " +
-        std::to_string(in_dim));
-  }
-  if (bias.shape().dim(0) != out_dim ||
-      static_cast<int64_t>(qw.scales.size()) != out_dim) {
-    return Status::InvalidArgument("FullyConnectedInt8: bias length mismatch");
-  }
-  KernelScratch& scratch = KernelScratch::ThreadLocal();
-  int8_t* qx = static_cast<int8_t*>(scratch.AcquireBytes(
-      KernelScratch::Slot::kQuantAct, static_cast<size_t>(in_dim)));
-  QuantizeSymmetric(input.data(), in_dim, act_scale, qx);
-  float* scales = scratch.Acquire(KernelScratch::Slot::kScales,
-                                  static_cast<size_t>(out_dim));
+  float* scales = KernelScratch::ThreadLocal().Acquire(
+      KernelScratch::Slot::kScales, static_cast<size_t>(out_dim));
   const float act = act_scale > 0.0f ? act_scale : 0.0f;
   for (int64_t i = 0; i < out_dim; ++i) {
     scales[i] = qw.scales[static_cast<size_t>(i)] * act;
   }
-  Tensor out(Shape{out_dim});
   GemmInt8Epilogue epilogue;
   epilogue.scale = scales;
   epilogue.bias = bias.data();
   epilogue.relu = relu;
-  GemmPackedInt8(out_dim, 1, in_dim, qw.data.data(), in_dim, qx, 1,
-                 out.mutable_data(), 1, epilogue, nullptr);
-  return out;
+  const bool zero = !(act_scale > 0.0f);
+  const float inv = zero ? 0.0f : 1.0f / act_scale;
+  return FcByColumnBlocks(
+      static_cast<int64_t>(inputs.size()), out_dim,
+      [&](int64_t j0, int64_t nb, float* c) {
+        // Quantize each input column straight into the int8 B, with exactly
+        // QuantizeSymmetric's expression (and its zero-scale guard).
+        int8_t* qb = static_cast<int8_t*>(
+            KernelScratch::ThreadLocal().AcquireBytes(
+                KernelScratch::Slot::kFcInput,
+                static_cast<size_t>(in_dim * nb)));
+        for (int64_t j = 0; j < nb; ++j) {
+          const float* x = inputs[static_cast<size_t>(j0 + j)].data();
+          for (int64_t p = 0; p < in_dim; ++p) {
+            qb[p * nb + j] = zero ? 0 : SaturateRoundToInt8(x[p] * inv);
+          }
+        }
+        GemmPackedInt8(out_dim, nb, in_dim, qw.data.data(), in_dim, qb, nb,
+                       c, nb, epilogue, pool);
+      });
 }
 
 }  // namespace vista

@@ -2,6 +2,7 @@
 #define VISTA_TENSOR_GEMM_H_
 
 #include <cstdint>
+#include <vector>
 
 #include "common/status.h"
 #include "tensor/quant.h"
@@ -55,12 +56,44 @@ Result<Tensor> Conv2DGemmInt8(const Tensor& input, const QuantizedWeights& qw,
                               int groups, bool relu, float act_scale,
                               ThreadPool* pool);
 
-/// Fully connected layer on the quantized kernel (y = dequant(W_q x_q) + b,
-/// optional fused ReLU); the int8 twin of ops.h's FullyConnected.
-Result<Tensor> FullyConnectedInt8(const Tensor& input,
-                                  const QuantizedWeights& qw,
-                                  const Tensor& bias, bool relu,
-                                  float act_scale);
+/// Widest column block of a batched FC GEMM. At 64 columns each weight
+/// loaded from memory feeds 128 FLOPs, and an fc6-shaped GEMM (4096 x
+/// 9216) is already within a few percent of its per-image time at 128
+/// columns; a bounded block keeps the stacked input, the result and the
+/// packed B panel a fixed size whatever the partition size.
+inline constexpr int64_t kFcBlockColumns = 64;
+
+/// Fully connected layer over a batch — the fp32 production path. Each of
+/// the n inputs is one image's activation with `in` elements (any shape; a
+/// CHW conv output needs no flatten), and each block of up to
+/// kFcBlockColumns inputs runs as ONE packed GEMM: A = `weights`
+/// (out x in), B = the block's inputs stacked as columns (in x nb, staged
+/// in the calling thread's kFcInput scratch slot), C = out x nb (kFcOutput
+/// slot), with `bias` and `relu` in the fused epilogue — so the layer's
+/// weights stream through cache once per block instead of once per image.
+/// A non-null `pool` splits the GEMM's kGemmMC row blocks. Returns n
+/// rank-1 outputs of length out, aligned with `inputs`.
+///
+/// Batch invariance: the packed kernel accumulates each output element in
+/// fp32 over k in an order that depends only on k — never on n, on the
+/// element's column, or on the pool schedule — so every output is
+/// bit-identical at any batch size, with or without a pool. ops.h's
+/// FullyConnected (double accumulation) is the test oracle.
+Result<std::vector<Tensor>> FullyConnectedGemm(
+    const std::vector<Tensor>& inputs, const Tensor& weights,
+    const Tensor& bias, bool relu, ThreadPool* pool);
+
+/// FullyConnectedGemm on the quantized kernel — the int8 production path.
+/// Each input column is quantized with the calibrated per-tensor
+/// `act_scale` (QuantizeSymmetric's expression; <= 0 quantizes to zeros)
+/// straight into the int8 B (kFcInput slot), one GemmPackedInt8 call runs
+/// each block of up to kFcBlockColumns columns, and the epilogue
+/// dequantizes with the per-row combined scale weight_scale * act_scale
+/// (kScales slot), adds the fp32 bias and applies ReLU. Int32 accumulation
+/// is exact, so outputs are bit-identical at any batch size and pool.
+Result<std::vector<Tensor>> FullyConnectedGemmInt8(
+    const std::vector<Tensor>& inputs, const QuantizedWeights& qw,
+    const Tensor& bias, bool relu, float act_scale, ThreadPool* pool);
 
 }  // namespace vista
 

@@ -13,10 +13,10 @@ namespace vista {
 /// tensor of a fixed expected shape and produces a tensor of a fixed shape.
 ///
 /// All kernels are straightforward loops, verified by tests against
-/// hand-computed results. Conv2D is the correctness oracle for the
-/// production implicit-GEMM conv (tensor/gemm.h); every other kernel here
-/// is the production fp32 path for its op, FullyConnected included (it
-/// runs the fc layers of full-size AlexNet inference).
+/// hand-computed results. Conv2D and FullyConnected are the correctness
+/// oracles for the production GEMM paths (tensor/gemm.h: implicit-GEMM
+/// conv, batched FC); every other kernel here is the production fp32 path
+/// for its op.
 
 /// 2-D convolution of a CHW input with KCRS weights (K filters of size
 /// C x R x S), plus a per-filter bias of length K. Zero padding `pad` on all
@@ -43,7 +43,9 @@ Result<Tensor> GlobalAvgPool(const Tensor& input);
 /// Element-wise max(0, x).
 Tensor Relu(const Tensor& input);
 
-/// Fully connected layer: y = W x + b with W of shape (out, in), x rank-1.
+/// Fully connected layer: y = W x + b with W of shape (out, in), x rank-1,
+/// accumulated in double. The oracle for tensor/gemm.h's
+/// FullyConnectedGemm; no production path calls it.
 Result<Tensor> FullyConnected(const Tensor& input, const Tensor& weights,
                               const Tensor& bias);
 

@@ -25,13 +25,16 @@ class KernelScratch {
   enum class Slot : int {
     kPackA = 0,
     kPackB = 1,
-    // Int8 inference plane: packed int8 A/B panels, the quantized
-    // activation staging buffer, and per-row combined dequant scales.
+    // Int8 inference plane: packed int8 A/B panels and per-row combined
+    // dequant scales.
     kPackAInt8 = 2,
     kPackBInt8 = 3,
-    kQuantAct = 4,
-    kScales = 5,
-    kNumSlots = 6,
+    kScales = 4,
+    // Batched fully connected layers: the stacked (fp32) or quantized
+    // (int8) in x n input matrix, and the out x n GEMM result.
+    kFcInput = 5,
+    kFcOutput = 6,
+    kNumSlots = 7,
   };
 
   KernelScratch() = default;

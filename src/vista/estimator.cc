@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "dl/op_spec.h"
+#include "tensor/gemm.h"
 #include "tensor/gemm_kernel.h"
 
 namespace vista {
@@ -46,10 +47,31 @@ int64_t SingleConvTemp(int64_t c, int64_t h, int64_t w, int kernel,
   return bytes;
 }
 
-/// Max conv scratch across the convs a single op runs. Bottleneck-internal
+/// Scratch bytes for one batched FC primitive (FullyConnectedGemm* over
+/// `batch` inputs of `in_dim` elements, in column blocks of at most
+/// kFcBlockColumns): the stacked or quantized input block (kFcInput), the
+/// out x block result (kFcOutput), the packed panels, and under int8 the
+/// combined dequant scales (kScales).
+int64_t FcTemp(int64_t in_dim, int64_t out_dim, int64_t batch, bool int8) {
+  if (in_dim <= 0 || out_dim <= 0 || batch <= 0) return 0;
+  const int64_t cols = std::min(batch, kFcBlockColumns);
+  // AcquireBytes rounds the int8 input up to whole floats.
+  const int64_t input = int8 ? RoundUpTo(in_dim * cols, 4)
+                             : in_dim * cols * 4;
+  int64_t bytes = input + out_dim * cols * 4 +
+                  ImplicitPanelBytes(out_dim, cols, in_dim, int8);
+  if (int8) bytes += out_dim * 4;
+  return bytes;
+}
+
+/// Max kernel scratch across the GEMMs a single op runs. Bottleneck-internal
 /// convs stay fp32 at any workload precision (ApplyPrimitive quantizes
 /// only standalone conv/fc primitives).
-int64_t OpConvTempBytes(const dl::OpSpec& op, const Shape& in, bool int8) {
+int64_t OpTempBytes(const dl::OpSpec& op, const Shape& in, bool int8,
+                    int64_t batch) {
+  if (op.kind == dl::OpKind::kFc) {
+    return FcTemp(in.num_elements(), op.out_channels, batch, int8);
+  }
   if (in.rank() != 3) return 0;
   const int64_t c = in.dim(0);
   const int64_t h = in.dim(1);
@@ -83,14 +105,14 @@ int64_t OpConvTempBytes(const dl::OpSpec& op, const Shape& in, bool int8) {
 }  // namespace
 
 int64_t ConvTempBytes(const dl::CnnArchitecture& arch, int layer_index,
-                      dl::Precision precision) {
+                      dl::Precision precision, int64_t batch) {
   if (layer_index < 0 || layer_index >= arch.num_layers()) return 0;
   Shape in = layer_index == 0 ? arch.input_shape()
                               : arch.layer(layer_index - 1).output_shape;
   const bool int8 = precision == dl::Precision::kInt8;
   int64_t peak = 0;
   for (const dl::OpSpec& op : arch.layer_spec(layer_index).ops) {
-    peak = std::max(peak, OpConvTempBytes(op, in, int8));
+    peak = std::max(peak, OpTempBytes(op, in, int8, batch));
     auto stat = dl::AnalyzeOp(op, in);
     if (!stat.ok()) break;  // Built architectures never hit this.
     in = stat->output_shape;
@@ -172,8 +194,9 @@ Result<SizeEstimates> EstimateSizes(const RosterEntry& entry,
   est.eager_udf_record_bytes = img_record + eager_out;
 
   // Eq. 16 Temp term: staged inference runs every logical layer from the
-  // image through max(L), so the per-thread conv scratch high-water is the
-  // max over that range (implicit-GEMM packed panels).
+  // image through max(L), so the per-thread kernel scratch high-water is
+  // the max over that range (implicit-GEMM conv panels; FC layers charged
+  // at a batch of one, since the partitioning is not chosen yet).
   const int max_layer =
       *std::max_element(workload.layers.begin(), workload.layers.end());
   for (int l = 0; l <= max_layer; ++l) {

@@ -51,7 +51,8 @@ struct SizeEstimates {
   /// Eq. 16 Temp term: per-thread kernel-scratch high-water across every
   /// logical layer the staged inference runs (0 .. max(L)) at the
   /// workload's precision — the packed GEMM panels of the implicit-GEMM
-  /// conv path. Multiply by the thread count for a per-node figure.
+  /// conv path, and the FC layers' batch-of-one figure. Multiply by the
+  /// thread count for a per-node figure.
   int64_t conv_temp_bytes = 0;
 };
 
@@ -73,14 +74,20 @@ Result<SizeEstimates> EstimateSizes(const RosterEntry& entry,
 int64_t LayerFeatureBytes(const dl::CnnArchitecture& arch, int layer_index,
                           dl::Precision precision = dl::Precision::kFp32);
 
-/// Per-thread scratch (Temp-region) bytes the implicit-GEMM conv kernels
-/// need to run logical layer `layer_index`: the maximum over the layer's
-/// conv ops (including bottleneck-internal convs, which stay fp32 at any
-/// workload precision) of the packed A + packed B panel footprint, sized
-/// exactly as gemm_kernel.cc's drivers acquire them. Non-conv layers
-/// return 0.
+/// Per-thread scratch (Temp-region) bytes the GEMM kernels need to run
+/// logical layer `layer_index` over a batch of `batch` images, sized
+/// exactly as tensor/gemm.cc and gemm_kernel.cc acquire them: the maximum
+/// over the layer's ops of
+///   - a conv (including bottleneck-internal convs, which stay fp32 at any
+///     workload precision): the packed A + packed B panels, and the int8
+///     dequant scales — per image, so independent of `batch`;
+///   - an FC primitive (one GEMM per block of up to kFcBlockColumns
+///     images): the stacked or quantized block x in input, the
+///     out x block result, the packed panels, and the int8 dequant scales.
+/// Layers with neither return 0.
 int64_t ConvTempBytes(const dl::CnnArchitecture& arch, int layer_index,
-                      dl::Precision precision = dl::Precision::kFp32);
+                      dl::Precision precision = dl::Precision::kFp32,
+                      int64_t batch = 1);
 
 /// Downstream-model memory footprint |M|_mem: proportional to the total
 /// feature dimensionality (structured + the largest pooled CNN layer in L),

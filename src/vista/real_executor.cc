@@ -223,14 +223,20 @@ Result<df::Table> RealExecutor::RunInference(const PlanStep& step,
     }
     int64_t headroom = memory.Available(df::MemoryRegion::kStorage);
     if (headroom != INT64_MAX) {
-      // The conv kernels' per-thread scratch (packed GEMM panels — Eq. 16
-      // Temp) is real memory the Storage region cannot use while this
-      // hop's layers run; subtract it so read-ahead depth reflects the
-      // headroom the implicit-GEMM path actually leaves free.
+      // The GEMM kernels' per-thread scratch (packed panels, and the FC
+      // layers' stacked batch — Eq. 16 Temp) is real memory the Storage
+      // region cannot use while this hop's layers run; subtract it so
+      // read-ahead depth reflects the headroom the kernels actually leave
+      // free. An FC layer's scratch grows with the partition's batch, up
+      // to one kFcBlockColumns block.
+      int64_t batch = 1;
+      for (const auto& partition : input.partitions) {
+        batch = std::max(batch, partition->num_records());
+      }
       int64_t conv_temp = 0;
       for (int l = std::max(source_layer + 1, 0); l <= produce.back(); ++l) {
-        conv_temp =
-            std::max(conv_temp, ConvTempBytes(arch, l, config.precision));
+        conv_temp = std::max(conv_temp,
+                             ConvTempBytes(arch, l, config.precision, batch));
       }
       headroom = std::max<int64_t>(
           0, headroom - conv_temp * engine_->parallelism());

@@ -1,7 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "common/thread_pool.h"
 #include "dl/cnn.h"
+#include "dl/model_zoo.h"
 #include "dl/op_spec.h"
 #include "tensor/ops.h"
 
@@ -376,6 +382,137 @@ TEST(CnnModelTest, ResidualBlockRuns) {
   auto out = model->Run(img);
   ASSERT_TRUE(out.ok());
   EXPECT_EQ(out->shape(), (Shape{3}));
+}
+
+bool SameBits(const Tensor& x, const Tensor& y) {
+  return x.shape() == y.shape() &&
+         std::memcmp(x.data(), y.data(),
+                     static_cast<size_t>(x.num_elements()) * sizeof(float)) ==
+             0;
+}
+
+// FC layers run as one GEMM per batch, convs per image; neither may show in
+// the bits. A 7-image batch, the same images one at a time, and RunRange
+// (serial kernels) all produce identical features, in fp32 and in int8 —
+// both from the raw image and from a flattened conv5 output (how the
+// engine stores a materialized base layer).
+TEST(CnnModelTest, BatchedFcIsBitIdenticalToOneImageAtATime) {
+  auto arch = MicroAlexNetArch();
+  ASSERT_TRUE(arch.ok());
+  auto model = CnnModel::Instantiate(*arch, 41);
+  ASSERT_TRUE(model.ok());
+  Rng rng(42);
+  std::vector<Tensor> images;
+  for (int i = 0; i < 7; ++i) {
+    images.push_back(Tensor::RandomGaussian(arch->input_shape(), &rng));
+  }
+  ASSERT_TRUE(model->CalibrateInt8({images[0], images[1]}).ok());
+  const int last = arch->num_layers() - 1;
+  auto fc6 = arch->FindLayer("fc6");
+  ASSERT_TRUE(fc6.ok());
+  ThreadPool pool(4);
+  for (const Precision precision : {Precision::kFp32, Precision::kInt8}) {
+    CnnOptions pooled;
+    pooled.pool = &pool;
+    pooled.precision = precision;
+    CnnOptions serial;
+    serial.precision = precision;
+    std::vector<Tensor> bases;
+    for (const Tensor& img : images) {
+      auto base = model->RunRange(img, 0, *fc6 - 1, serial);
+      ASSERT_TRUE(base.ok());
+      bases.push_back(base->Flatten());
+    }
+    for (const auto& [inputs, from] :
+         {std::pair{images, 0}, std::pair{bases, *fc6}}) {
+      auto batch = model->RunRangeBatch(inputs, from, last, pooled);
+      ASSERT_TRUE(batch.ok());
+      ASSERT_EQ(batch->size(), inputs.size());
+      for (size_t i = 0; i < inputs.size(); ++i) {
+        auto one = model->RunRangeBatch({inputs[i]}, from, last, pooled);
+        ASSERT_TRUE(one.ok());
+        auto single = model->RunRange(inputs[i], from, last, serial);
+        ASSERT_TRUE(single.ok());
+        EXPECT_TRUE(SameBits((*batch)[i], one->front()))
+            << PrecisionName(precision) << " from " << from << " image "
+            << i << ": batch of 7 vs batch of 1";
+        EXPECT_TRUE(SameBits((*batch)[i], *single))
+            << PrecisionName(precision) << " from " << from << " image "
+            << i << ": batch of 7 vs RunRange";
+      }
+    }
+  }
+}
+
+// A batched FC step adds layer FLOPs x batch size in one step, FC-free
+// layers add per image: after a 7-image batch every dl.flops counter reads
+// exactly 7x the layer's analytic FLOPs, and under int8 every dl.int8_ops
+// counter 7x its quantized ops. One histogram sample is one image's pass
+// through an FC-free layer, one batch's pass through an FC layer.
+TEST(CnnModelTest, ProfiledBatchCountersReconcileExactly) {
+  auto arch = MicroAlexNetArch();
+  ASSERT_TRUE(arch.ok());
+  auto model = CnnModel::Instantiate(*arch, 43);
+  ASSERT_TRUE(model.ok());
+  Rng rng(44);
+  std::vector<Tensor> images;
+  for (int i = 0; i < 7; ++i) {
+    images.push_back(Tensor::RandomGaussian(arch->input_shape(), &rng));
+  }
+  ASSERT_TRUE(model->CalibrateInt8({images[0]}).ok());
+  ThreadPool pool(4);
+  for (const Precision precision : {Precision::kFp32, Precision::kInt8}) {
+    obs::Registry registry;
+    model->EnableProfiling(&registry);
+    CnnOptions opts;
+    opts.pool = &pool;
+    opts.precision = precision;
+    ASSERT_TRUE(
+        model->RunRangeBatch(images, 0, arch->num_layers() - 1, opts).ok());
+    for (int l = 0; l < arch->num_layers(); ++l) {
+      const std::string suffix = arch->name() + "." + arch->layer(l).name;
+      const bool fc = arch->layer_spec(l).ops.back().kind == OpKind::kFc;
+      EXPECT_EQ(registry.counter("dl.flops." + suffix)->value(),
+                7 * arch->layer(l).flops)
+          << suffix;
+      EXPECT_EQ(registry.counter("dl.int8_ops." + suffix)->value(),
+                precision == Precision::kInt8 ? 7 * model->layer_int8_ops(l)
+                                              : 0)
+          << suffix;
+      EXPECT_EQ(registry.histogram("dl.forward_ms." + suffix)->count(),
+                fc ? 1 : 7)
+          << suffix;
+    }
+    model->EnableProfiling(nullptr);
+  }
+}
+
+// A layer mixing a per-image primitive with an FC (global average pool,
+// then the classifier) runs the pool per image and the FC over the batch.
+TEST(CnnModelTest, MixedFcLayerBatchMatchesSingle) {
+  CnnBuilder b("Head", Shape{3, 8, 8});
+  b.BeginLayer("stem").Conv(6, 3, 1, 1);
+  b.BeginLayer("head").GlobalAvgPool().Fc(5, false);
+  auto arch = b.Build();
+  ASSERT_TRUE(arch.ok());
+  auto model = CnnModel::Instantiate(*arch, 45);
+  ASSERT_TRUE(model.ok());
+  Rng rng(46);
+  std::vector<Tensor> images;
+  for (int i = 0; i < 3; ++i) {
+    images.push_back(Tensor::RandomGaussian(Shape{3, 8, 8}, &rng));
+  }
+  ThreadPool pool(2);
+  CnnOptions opts;
+  opts.pool = &pool;
+  auto batch = model->RunRangeBatch(images, 0, 1, opts);
+  ASSERT_TRUE(batch.ok());
+  for (size_t i = 0; i < images.size(); ++i) {
+    auto single = model->RunRange(images[i], 0, 1);
+    ASSERT_TRUE(single.ok());
+    EXPECT_EQ(single->shape(), (Shape{5}));
+    EXPECT_TRUE(SameBits((*batch)[i], *single)) << "image " << i;
+  }
 }
 
 }  // namespace

@@ -1,13 +1,16 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <limits>
+#include <vector>
 
 #include "common/random.h"
 #include "common/thread_pool.h"
 #include "tensor/gemm.h"
 #include "tensor/gemm_kernel.h"
 #include "tensor/ops.h"
+#include "tensor/quant.h"
 #include "tensor/scratch.h"
 
 namespace vista {
@@ -268,6 +271,148 @@ TEST(Conv2DGemmTest, RejectsBadConfigs) {
   EXPECT_FALSE(Conv2DGemm(input, w, b, 1, 1, 2).ok());
   // Bias mismatch.
   EXPECT_FALSE(Conv2DGemm(input, w, Tensor(Shape{5}), 1, 1).ok());
+}
+
+// ---- Batched fully connected layers --------------------------------------
+
+// An FC shape that spans several fp32 K panels (kGemmKC = 256), two int8 K
+// panels (kGemmKcInt8 = 1024), a full and a partial kGemmMC row block, and
+// partial kGemmNR column strips; from batch 7 up it is large enough for
+// the pool to split the row blocks. Batch 100 ends in a partial
+// kFcBlockColumns block, 128 in two full ones.
+constexpr int64_t kFcOut = 200;
+constexpr int64_t kFcIn = 1100;
+constexpr int64_t kFcBatches[] = {1, 7, 100, 128};
+
+std::vector<Tensor> FcInputs(int64_t n, uint64_t seed) {
+  Rng rng(seed);
+  std::vector<Tensor> inputs;
+  for (int64_t j = 0; j < n; ++j) {
+    // A CHW-shaped input: FC layers consume conv outputs unflattened.
+    inputs.push_back(Tensor::RandomGaussian(Shape{11, 10, 10}, &rng));
+  }
+  return inputs;
+}
+
+bool BitIdentical(const Tensor& x, const Tensor& y) {
+  return x.shape() == y.shape() &&
+         std::memcmp(x.data(), y.data(),
+                     static_cast<size_t>(x.num_elements()) * sizeof(float)) ==
+             0;
+}
+
+// The batch invariant: the packed kernel's k-order for one output element
+// does not depend on n or on the pool schedule, so image j's output is the
+// same bits in every batch it appears in.
+TEST(FullyConnectedGemmTest, BitIdenticalAcrossBatchSizesAndPool) {
+  Rng rng(31);
+  Tensor w = Tensor::RandomGaussian(Shape{kFcOut, kFcIn}, &rng, 0.05f);
+  Tensor bias = Tensor::RandomGaussian(Shape{kFcOut}, &rng);
+  auto qw = QuantizeWeightsPerChannel(w);
+  ASSERT_TRUE(qw.ok());
+  const std::vector<Tensor> all = FcInputs(128, 32);
+  const float act_scale = SymmetricScale(3.0f);
+  ThreadPool pool(4);
+  for (const bool int8 : {false, true}) {
+    const auto run = [&](const std::vector<Tensor>& in, ThreadPool* p) {
+      return int8 ? FullyConnectedGemmInt8(in, *qw, bias, true, act_scale, p)
+                  : FullyConnectedGemm(in, w, bias, true, p);
+    };
+    // Reference: every image alone, no pool.
+    std::vector<Tensor> ref;
+    for (const Tensor& x : all) {
+      auto one = run({x}, nullptr);
+      ASSERT_TRUE(one.ok());
+      ASSERT_EQ(one->size(), 1u);
+      ASSERT_EQ(one->front().shape(), (Shape{kFcOut}));
+      ref.push_back(one->front());
+    }
+    for (const int64_t n : kFcBatches) {
+      const std::vector<Tensor> in(all.begin(), all.begin() + n);
+      for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+        auto got = run(in, p);
+        ASSERT_TRUE(got.ok());
+        ASSERT_EQ(got->size(), static_cast<size_t>(n));
+        for (int64_t j = 0; j < n; ++j) {
+          ASSERT_TRUE(BitIdentical(ref[j], (*got)[j]))
+              << (int8 ? "int8" : "fp32") << " batch " << n << " image "
+              << j << (p != nullptr ? " pool" : " serial");
+        }
+      }
+    }
+  }
+}
+
+// fp32 accumulation against the double-accumulating oracle.
+TEST(FullyConnectedGemmTest, MatchesFullyConnectedOracle) {
+  Rng rng(33);
+  Tensor w = Tensor::RandomGaussian(Shape{kFcOut, kFcIn}, &rng, 0.05f);
+  Tensor bias = Tensor::RandomGaussian(Shape{kFcOut}, &rng);
+  const std::vector<Tensor> in = FcInputs(7, 34);
+  ThreadPool pool(4);
+  auto got = FullyConnectedGemm(in, w, bias, false, &pool);
+  ASSERT_TRUE(got.ok());
+  for (size_t j = 0; j < in.size(); ++j) {
+    auto ref = FullyConnected(in[j].Flatten(), w, bias);
+    ASSERT_TRUE(ref.ok());
+    ExpectGemmClose(*ref, (*got)[j], kFcIn);
+  }
+}
+
+// With unit scales, integer-valued inputs and no bias, the dequantizing
+// epilogue is the identity on float(acc), and |acc| < 2^24 keeps that
+// conversion exact — so the outputs ARE the int32 accumulators, and they
+// must equal a direct integer dot product.
+TEST(FullyConnectedGemmTest, Int8AccumulatorsMatchIntegerDotProduct) {
+  Rng rng(35);
+  QuantizedWeights qw;
+  qw.shape = Shape{kFcOut, kFcIn};
+  qw.data.resize(static_cast<size_t>(kFcOut * kFcIn));
+  for (int8_t& v : qw.data) {
+    v = static_cast<int8_t>(rng.NextDouble(-100.0, 100.0));
+  }
+  qw.scales.assign(static_cast<size_t>(kFcOut), 1.0f);
+  std::vector<Tensor> in;
+  for (int j = 0; j < 7; ++j) {
+    Tensor x(Shape{kFcIn});
+    for (int64_t p = 0; p < kFcIn; ++p) {
+      x.set(p, std::nearbyint(static_cast<float>(
+                   rng.NextDouble(-100.0, 100.0))));
+    }
+    in.push_back(std::move(x));
+  }
+  ThreadPool pool(4);
+  auto got = FullyConnectedGemmInt8(in, qw, Tensor(Shape{kFcOut}), false,
+                                    /*act_scale=*/1.0f, &pool);
+  ASSERT_TRUE(got.ok());
+  for (size_t j = 0; j < in.size(); ++j) {
+    for (int64_t r = 0; r < kFcOut; ++r) {
+      int64_t dot = 0;
+      for (int64_t p = 0; p < kFcIn; ++p) {
+        dot += static_cast<int64_t>(qw.data[r * kFcIn + p]) *
+               static_cast<int64_t>(in[j].at(p));
+      }
+      ASSERT_EQ((*got)[j].at(r), static_cast<float>(dot))
+          << "image " << j << " row " << r;
+    }
+  }
+}
+
+TEST(FullyConnectedGemmTest, RejectsBadShapes) {
+  Tensor w(Shape{4, 6});
+  Tensor b(Shape{4});
+  EXPECT_FALSE(FullyConnectedGemm({Tensor(Shape{5})}, w, b, false, nullptr)
+                   .ok());
+  EXPECT_FALSE(
+      FullyConnectedGemm({Tensor(Shape{6})}, w, Tensor(Shape{3}), false,
+                         nullptr)
+          .ok());
+  EXPECT_FALSE(FullyConnectedGemm({Tensor(Shape{6})}, Tensor(Shape{24}), b,
+                                  false, nullptr)
+                   .ok());
+  auto empty = FullyConnectedGemm({}, w, b, false, nullptr);
+  ASSERT_TRUE(empty.ok());
+  EXPECT_TRUE(empty->empty());
 }
 
 }  // namespace

@@ -251,6 +251,49 @@ TEST(ImplicitConvScratchTest, ConvTempBytesMatchesMeasuredPeak) {
   fresh.join();
   EXPECT_EQ(peak_bytes, ConvTempBytes(*arch, 0));
   EXPECT_GT(KernelScratch::GlobalPeakBytes(), 0);
+
+  // FC layers: one GEMM per batch, so the figure grows with the batch —
+  // the stacked (fp32) or quantized (int8) input, the out x n result, the
+  // packed panels and the int8 scales. Micro fc6 fits one K panel; full
+  // AlexNet fc8 (k = 4096) spans several. Values do not matter here, only
+  // the acquisitions, so weights and inputs are zeros.
+  auto full = dl::AlexNetArch();
+  ASSERT_TRUE(full.ok());
+  for (const dl::CnnArchitecture* a : {&*arch, &*full}) {
+    auto fc = a->FindLayer(a == &*arch ? "fc6" : "fc8");
+    ASSERT_TRUE(fc.ok());
+    const int64_t in_dim = a->layer(*fc - 1).output_shape.num_elements();
+    const int64_t out_dim = a->layer(*fc).output_shape.num_elements();
+    Tensor w(Shape{out_dim, in_dim});
+    Tensor b(Shape{out_dim});
+    QuantizedWeights qw;
+    qw.shape = w.shape();
+    qw.data.assign(static_cast<size_t>(out_dim * in_dim), 0);
+    qw.scales.assign(static_cast<size_t>(out_dim), 1.0f);
+    // 100 images run as a 64-column and a 36-column GEMM.
+    for (const int64_t n : {int64_t{1}, int64_t{16}, int64_t{100}}) {
+      const std::vector<Tensor> inputs(
+          static_cast<size_t>(n), Tensor(a->layer(*fc - 1).output_shape));
+      for (const dl::Precision p : {dl::Precision::kFp32,
+                                    dl::Precision::kInt8}) {
+        int64_t fc_peak = 0;
+        bool ok = false;
+        std::thread fc_thread([&] {
+          ok = p == dl::Precision::kInt8
+                   ? FullyConnectedGemmInt8(inputs, qw, b, true, 0.5f,
+                                            nullptr)
+                         .ok()
+                   : FullyConnectedGemm(inputs, w, b, true, nullptr).ok();
+          fc_peak = KernelScratch::ThreadLocal().peak_bytes();
+        });
+        fc_thread.join();
+        ASSERT_TRUE(ok);
+        EXPECT_EQ(fc_peak, ConvTempBytes(*a, *fc, p, n))
+            << a->name() << " " << a->layer(*fc).name << " "
+            << dl::PrecisionName(p) << " batch " << n;
+      }
+    }
+  }
 }
 
 }  // namespace

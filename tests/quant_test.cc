@@ -386,13 +386,16 @@ TEST(FullyConnectedInt8Test, MatchesFp32OnGrid) {
                                            x.data(),
                                            x.data() + x.num_elements())));
   ASSERT_TRUE(ref.ok());
-  auto got = FullyConnectedInt8(x, *qw, bias, false, in_scale);
+  auto got = FullyConnectedGemmInt8({x}, *qw, bias, false, in_scale,
+                                    nullptr);
   ASSERT_TRUE(got.ok());
-  ASSERT_EQ(got->num_elements(), 10);
+  ASSERT_EQ(got->size(), 1u);
+  ASSERT_EQ(got->front().num_elements(), 10);
   // Grid-exact inputs: the int8 path and the fp32 oracle compute the same
   // exactly-representable values (see the conv grid test's argument).
   for (int64_t i = 0; i < 10; ++i) {
-    ASSERT_LE(std::abs(got->at(i) - (ref->at(i) + bias.at(i))), 1e-5f)
+    ASSERT_LE(std::abs(got->front().at(i) - (ref->at(i) + bias.at(i))),
+              1e-5f)
         << "at " << i;
   }
 }
