@@ -6,12 +6,6 @@
 namespace vista::ml {
 namespace {
 
-struct TrainingData {
-  std::vector<std::vector<float>> x;
-  std::vector<int> y;
-  int64_t dim = 0;
-};
-
 double GiniFromCounts(int64_t pos, int64_t total) {
   if (total == 0) return 0.0;
   const double p = static_cast<double>(pos) / static_cast<double>(total);
@@ -36,29 +30,21 @@ int DecisionTreeModel::depth() const {
   return d;
 }
 
-Result<DecisionTreeModel> TrainDecisionTree(
-    df::Engine* engine, const df::Table& table,
-    const FeatureExtractor& extract, const DecisionTreeConfig& config) {
-  TrainingData data;
-  for (const auto& p : table.partitions) {
-    VISTA_ASSIGN_OR_RETURN(std::vector<df::Record> records,
-                           engine->cache().ReadThrough(p));
-    std::vector<float> x;
-    float label = 0;
-    for (const df::Record& r : records) {
-      VISTA_RETURN_IF_ERROR(extract(r, &x, &label));
-      if (data.dim == 0) data.dim = static_cast<int64_t>(x.size());
-      if (static_cast<int64_t>(x.size()) != data.dim) {
-        return Status::InvalidArgument(
-            "inconsistent feature dimensionality in decision tree input");
-      }
-      data.x.push_back(x);
-      data.y.push_back(label > 0.5f ? 1 : 0);
+Result<DecisionTreeModel> TrainDecisionTree(const DenseRows& rows,
+                                            const DecisionTreeConfig& config) {
+  VISTA_RETURN_IF_ERROR(rows.CheckTrainable());
+  // Row r of the training set, in block order.
+  std::vector<const float*> x;
+  std::vector<int> y;
+  x.reserve(rows.num_rows());
+  y.reserve(rows.num_rows());
+  for (int b = 0; b < rows.num_blocks(); ++b) {
+    for (int64_t r = 0; r < rows.rows(b); ++r) {
+      x.push_back(rows.x(b, r));
+      y.push_back(rows.label(b, r) > 0.5f ? 1 : 0);
     }
   }
-  if (data.x.empty()) {
-    return Status::InvalidArgument("cannot train on an empty table");
-  }
+  const int64_t dim = rows.dim();
 
   DecisionTreeModel model;
   // Recursive splitting over index subsets, managed iteratively with an
@@ -71,7 +57,7 @@ Result<DecisionTreeModel> TrainDecisionTree(
   std::vector<Work> stack;
   model.nodes_.push_back(DecisionTreeModel::Node{});
   {
-    std::vector<int64_t> all(data.x.size());
+    std::vector<int64_t> all(x.size());
     for (size_t i = 0; i < all.size(); ++i) all[i] = static_cast<int64_t>(i);
     stack.push_back(Work{0, std::move(all), 0});
   }
@@ -83,7 +69,7 @@ Result<DecisionTreeModel> TrainDecisionTree(
     node.node_depth = work.depth;
 
     int64_t pos = 0;
-    for (int64_t row : work.rows) pos += data.y[row];
+    for (int64_t row : work.rows) pos += y[row];
     const int64_t total = static_cast<int64_t>(work.rows.size());
     node.prediction = pos * 2 >= total ? 1 : 0;
 
@@ -99,9 +85,9 @@ Result<DecisionTreeModel> TrainDecisionTree(
     int best_feature = -1;
     float best_threshold = 0.0f;
     std::vector<float> values(total);
-    for (int64_t f = 0; f < data.dim; ++f) {
+    for (int64_t f = 0; f < dim; ++f) {
       for (int64_t i = 0; i < total; ++i) {
-        values[i] = data.x[work.rows[i]][f];
+        values[i] = x[work.rows[i]][f];
       }
       std::vector<float> sorted = values;
       std::sort(sorted.begin(), sorted.end());
@@ -117,7 +103,7 @@ Result<DecisionTreeModel> TrainDecisionTree(
         for (int64_t i = 0; i < total; ++i) {
           if (values[i] <= threshold) {
             ++left_n;
-            left_pos += data.y[work.rows[i]];
+            left_pos += y[work.rows[i]];
           }
         }
         const int64_t right_n = total - left_n;
@@ -147,7 +133,7 @@ Result<DecisionTreeModel> TrainDecisionTree(
 
     std::vector<int64_t> left_rows, right_rows;
     for (int64_t row : work.rows) {
-      if (data.x[row][best_feature] <= best_threshold) {
+      if (x[row][best_feature] <= best_threshold) {
         left_rows.push_back(row);
       } else {
         right_rows.push_back(row);
@@ -167,6 +153,13 @@ Result<DecisionTreeModel> TrainDecisionTree(
     stack.push_back(Work{right_idx, std::move(right_rows), work.depth + 1});
   }
   return model;
+}
+
+Result<DecisionTreeModel> TrainDecisionTree(
+    df::Engine* engine, const df::Table& table,
+    const FeatureExtractor& extract, const DecisionTreeConfig& config) {
+  VISTA_ASSIGN_OR_RETURN(DenseSplit rows, Featurize(engine, table, extract));
+  return TrainDecisionTree(rows.train, config);
 }
 
 }  // namespace vista::ml

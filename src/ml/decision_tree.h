@@ -11,7 +11,7 @@ namespace vista::ml {
 
 /// CART binary classification tree with Gini impurity (the paper's
 /// "conventional decision tree" downstream model, Section 5.2). Trained
-/// driver-side on collected features, as MLlib's single-tree trainer
+/// driver-side on the featurized rows, as MLlib's single-tree trainer
 /// effectively does for moderate data.
 struct DecisionTreeConfig {
   int max_depth = 5;
@@ -24,15 +24,6 @@ class DecisionTreeModel {
  public:
   DecisionTreeModel() = default;
 
-  int Predict(const float* x) const;
-  int num_nodes() const { return static_cast<int>(nodes_.size()); }
-  int depth() const;
-
- private:
-  friend Result<DecisionTreeModel> TrainDecisionTree(
-      df::Engine*, const df::Table&, const FeatureExtractor&,
-      const DecisionTreeConfig&);
-
   struct Node {
     bool leaf = true;
     int prediction = 0;
@@ -43,10 +34,24 @@ class DecisionTreeModel {
     int node_depth = 0;
   };
 
+  int Predict(const float* x) const;
+  int num_nodes() const { return static_cast<int>(nodes_.size()); }
+  int depth() const;
+  /// Node 0 is the root; children follow their parent.
+  const std::vector<Node>& nodes() const { return nodes_; }
+
+ private:
+  friend Result<DecisionTreeModel> TrainDecisionTree(const DenseRows&,
+                                                     const DecisionTreeConfig&);
+
   std::vector<Node> nodes_;
 };
 
-/// Trains a decision tree over `table`.
+/// Trains a decision tree on featurized rows, taken in block order.
+Result<DecisionTreeModel> TrainDecisionTree(const DenseRows& rows,
+                                            const DecisionTreeConfig& config);
+
+/// Featurizes `table` once (see Featurize), then trains on the rows.
 Result<DecisionTreeModel> TrainDecisionTree(df::Engine* engine,
                                             const df::Table& table,
                                             const FeatureExtractor& extract,

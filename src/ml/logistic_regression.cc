@@ -1,10 +1,13 @@
 #include "ml/logistic_regression.h"
 
 #include <cmath>
-#include <mutex>
 
 namespace vista::ml {
 namespace {
+
+double Sign(double v) { return v > 0 ? 1.0 : (v < 0 ? -1.0 : 0.0); }
+
+}  // namespace
 
 double Sigmoid(double z) {
   if (z >= 0) {
@@ -14,10 +17,6 @@ double Sigmoid(double z) {
   return e / (1.0 + e);
 }
 
-double Sign(double v) { return v > 0 ? 1.0 : (v < 0 ? -1.0 : 0.0); }
-
-}  // namespace
-
 double LogisticRegressionModel::PredictProbability(const float* x) const {
   double z = bias_;
   for (int64_t i = 0; i < dim(); ++i) z += weights_[i] * x[i];
@@ -25,74 +24,29 @@ double LogisticRegressionModel::PredictProbability(const float* x) const {
 }
 
 Result<LogisticRegressionModel> TrainLogisticRegression(
-    df::Engine* engine, const df::Table& table,
-    const FeatureExtractor& extract,
+    df::Engine* engine, const DenseRows& rows,
     const LogisticRegressionConfig& config) {
-  if (table.num_records() == 0) {
-    return Status::InvalidArgument("cannot train on an empty table");
-  }
-
-  // Infer dimensionality from the first nonempty partition.
-  int64_t dim = -1;
-  for (const auto& p : table.partitions) {
-    if (p->num_records() == 0) continue;
-    VISTA_ASSIGN_OR_RETURN(std::vector<df::Record> records,
-                           engine->cache().ReadThrough(p));
-    std::vector<float> x;
-    float label = 0;
-    VISTA_RETURN_IF_ERROR(extract(records.front(), &x, &label));
-    dim = static_cast<int64_t>(x.size());
-    break;
-  }
-  if (dim <= 0) {
-    return Status::InvalidArgument("feature extractor produced no features");
-  }
+  VISTA_RETURN_IF_ERROR(rows.CheckTrainable());
+  const int64_t dim = rows.dim();
 
   std::vector<double> weights(dim, 0.0);
   double bias = 0.0;
-  const int64_t n = table.num_records();
+  const int64_t n = rows.num_rows();
 
   for (int iter = 0; iter < config.iterations; ++iter) {
-    std::vector<double> grad(dim, 0.0);
-    double grad_bias = 0.0;
-    std::mutex merge_mu;
-    Status extract_status = Status::OK();
-
-    // Partition-parallel gradient pass; each task accumulates a local
-    // gradient and merges it once, mirroring a distributed tree-aggregate.
-    auto pass = engine->MapPartitions(
-        table,
-        [&](std::vector<df::Record> records)
-            -> Result<std::vector<df::Record>> {
-          std::vector<double> local(dim, 0.0);
-          double local_bias = 0.0;
-          std::vector<float> x;
-          float label = 0;
-          for (const df::Record& r : records) {
-            VISTA_RETURN_IF_ERROR(extract(r, &x, &label));
-            if (static_cast<int64_t>(x.size()) != dim) {
-              return Status::InvalidArgument(
-                  "inconsistent feature dimensionality: got " +
-                  std::to_string(x.size()) + ", expected " +
-                  std::to_string(dim));
-            }
+    // The gradient, bias gradient last.
+    const std::vector<double> grad =
+        SumBlocks(engine, rows, dim + 1, [&](int b, double* local) {
+          for (int64_t r = 0; r < rows.rows(b); ++r) {
+            const float* x = rows.x(b, r);
             double z = bias;
             for (int64_t i = 0; i < dim; ++i) z += weights[i] * x[i];
-            const double err = Sigmoid(z) - static_cast<double>(label);
-            for (int64_t i = 0; i < dim; ++i) {
-              local[i] += err * x[i];
-            }
-            local_bias += err;
+            const double err =
+                Sigmoid(z) - static_cast<double>(rows.label(b, r));
+            for (int64_t i = 0; i < dim; ++i) local[i] += err * x[i];
+            local[dim] += err;
           }
-          {
-            std::lock_guard<std::mutex> lock(merge_mu);
-            for (int64_t i = 0; i < dim; ++i) grad[i] += local[i];
-            grad_bias += local_bias;
-          }
-          return std::vector<df::Record>{};
         });
-    VISTA_RETURN_IF_ERROR(pass.status());
-    VISTA_RETURN_IF_ERROR(extract_status);
 
     const double scale = 1.0 / static_cast<double>(n);
     const double l1 = config.reg_lambda * config.elastic_net_alpha;
@@ -102,40 +56,35 @@ Result<LogisticRegressionModel> TrainLogisticRegression(
           grad[i] * scale + l1 * Sign(weights[i]) + l2 * weights[i];
       weights[i] -= config.learning_rate * g;
     }
-    bias -= config.learning_rate * grad_bias * scale;
+    bias -= config.learning_rate * grad[dim] * scale;
   }
   return LogisticRegressionModel(std::move(weights), bias);
+}
+
+Result<LogisticRegressionModel> TrainLogisticRegression(
+    df::Engine* engine, const df::Table& table,
+    const FeatureExtractor& extract,
+    const LogisticRegressionConfig& config) {
+  VISTA_ASSIGN_OR_RETURN(DenseSplit rows, Featurize(engine, table, extract));
+  return TrainLogisticRegression(engine, rows.train, config);
 }
 
 Result<double> LogisticLogLoss(df::Engine* engine, const df::Table& table,
                                const FeatureExtractor& extract,
                                const LogisticRegressionModel& model) {
-  double loss = 0.0;
-  int64_t n = 0;
-  std::mutex mu;
-  auto pass = engine->MapPartitions(
-      table,
-      [&](std::vector<df::Record> records)
-          -> Result<std::vector<df::Record>> {
-        double local = 0.0;
-        int64_t count = 0;
-        std::vector<float> x;
-        float label = 0;
-        for (const df::Record& r : records) {
-          VISTA_RETURN_IF_ERROR(extract(r, &x, &label));
-          const double p = model.PredictProbability(x.data());
+  VISTA_ASSIGN_OR_RETURN(DenseSplit split, Featurize(engine, table, extract));
+  const DenseRows& rows = split.train;
+  VISTA_RETURN_IF_ERROR(rows.CheckTrainable());
+  const std::vector<double> loss =
+      SumBlocks(engine, rows, 1, [&](int b, double* local) {
+        for (int64_t r = 0; r < rows.rows(b); ++r) {
+          const double p = model.PredictProbability(rows.x(b, r));
           const double eps = 1e-12;
-          local -= label > 0.5 ? std::log(p + eps) : std::log(1 - p + eps);
-          ++count;
+          *local -= rows.label(b, r) > 0.5f ? std::log(p + eps)
+                                            : std::log(1 - p + eps);
         }
-        std::lock_guard<std::mutex> lock(mu);
-        loss += local;
-        n += count;
-        return std::vector<df::Record>{};
       });
-  VISTA_RETURN_IF_ERROR(pass.status());
-  if (n == 0) return Status::InvalidArgument("empty table");
-  return loss / static_cast<double>(n);
+  return loss[0] / static_cast<double>(rows.num_rows());
 }
 
 }  // namespace vista::ml

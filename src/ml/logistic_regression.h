@@ -1,20 +1,13 @@
 #ifndef VISTA_ML_LOGISTIC_REGRESSION_H_
 #define VISTA_ML_LOGISTIC_REGRESSION_H_
 
-#include <functional>
 #include <vector>
 
 #include "common/status.h"
 #include "dataflow/engine.h"
+#include "ml/dense_rows.h"
 
 namespace vista::ml {
-
-/// Maps a dataflow record to a training example: fills `*x` with the
-/// feature vector and `*label` with the binary target (0/1). The extractor
-/// must produce the same dimensionality for every record.
-using FeatureExtractor =
-    std::function<Status(const df::Record&, std::vector<float>* x,
-                         float* label)>;
 
 /// Configuration for elastic-net logistic regression trained with full-batch
 /// gradient descent over a partitioned table (the paper's downstream M,
@@ -28,6 +21,9 @@ struct LogisticRegressionConfig {
   /// Elastic-net mixing α: 1 = pure L1, 0 = pure L2.
   double elastic_net_alpha = 0.5;
 };
+
+/// The logistic function 1 / (1 + e^-z), evaluated without overflow.
+double Sigmoid(double z);
 
 /// A trained binary logistic regression model.
 class LogisticRegressionModel {
@@ -54,9 +50,14 @@ class LogisticRegressionModel {
   double bias_ = 0.0;
 };
 
-/// Trains logistic regression over `table` with partition-parallel gradient
-/// computation on `engine`. Feature dimensionality is inferred from the
-/// first record. Labels must be 0/1.
+/// Trains logistic regression on featurized rows: every iteration computes
+/// one gradient partial per block on the engine's pool and merges them in
+/// block order. Labels must be 0/1.
+Result<LogisticRegressionModel> TrainLogisticRegression(
+    df::Engine* engine, const DenseRows& rows,
+    const LogisticRegressionConfig& config);
+
+/// Featurizes `table` once (see Featurize), then trains on the rows.
 Result<LogisticRegressionModel> TrainLogisticRegression(
     df::Engine* engine, const df::Table& table,
     const FeatureExtractor& extract, const LogisticRegressionConfig& config);

@@ -1,18 +1,8 @@
 #include "ml/mlp.h"
 
 #include <cmath>
-#include <mutex>
 
 namespace vista::ml {
-namespace {
-
-double Sigmoid(double z) {
-  if (z >= 0) return 1.0 / (1.0 + std::exp(-z));
-  const double e = std::exp(z);
-  return e / (1.0 + e);
-}
-
-}  // namespace
 
 double MlpModel::Forward(
     const float* x, std::vector<std::vector<double>>* activations) const {
@@ -51,97 +41,66 @@ int64_t MlpModel::MemoryBytes() const {
   return bytes;
 }
 
-Result<MlpModel> TrainMlp(df::Engine* engine, const df::Table& table,
-                          const FeatureExtractor& extract,
+Result<MlpModel> TrainMlp(df::Engine* engine, const DenseRows& rows,
                           const MlpConfig& config) {
-  if (table.num_records() == 0) {
-    return Status::InvalidArgument("cannot train on an empty table");
-  }
-  // Infer input dimensionality.
-  int64_t dim = -1;
-  for (const auto& p : table.partitions) {
-    if (p->num_records() == 0) continue;
-    VISTA_ASSIGN_OR_RETURN(std::vector<df::Record> records,
-                           engine->cache().ReadThrough(p));
-    std::vector<float> x;
-    float label = 0;
-    VISTA_RETURN_IF_ERROR(extract(records.front(), &x, &label));
-    dim = static_cast<int64_t>(x.size());
-    break;
-  }
-  if (dim <= 0) {
-    return Status::InvalidArgument("feature extractor produced no features");
-  }
+  VISTA_RETURN_IF_ERROR(rows.CheckTrainable());
+  const int64_t dim = rows.dim();
 
   MlpModel model;
   model.input_dim_ = dim;
   Rng rng(config.seed);
+  // The hidden layers, then the output layer's single logit.
+  std::vector<int64_t> widths = config.hidden_sizes;
+  widths.push_back(1);
   int64_t in_dim = dim;
-  for (int64_t hidden : config.hidden_sizes) {
+  for (int64_t width : widths) {
     MlpModel::Layer layer;
     layer.in = in_dim;
-    layer.out = hidden;
-    layer.w.resize(in_dim * hidden);
-    layer.b.assign(hidden, 0.0);
+    layer.out = width;
+    layer.w.resize(in_dim * width);
+    layer.b.assign(width, 0.0);
     const double stddev = std::sqrt(2.0 / static_cast<double>(in_dim));
     for (double& v : layer.w) v = rng.NextGaussian() * stddev;
     model.layers_.push_back(std::move(layer));
-    in_dim = hidden;
+    in_dim = width;
   }
-  // Output layer: single logit.
-  MlpModel::Layer out_layer;
-  out_layer.in = in_dim;
-  out_layer.out = 1;
-  out_layer.w.resize(in_dim);
-  out_layer.b.assign(1, 0.0);
-  const double stddev = std::sqrt(2.0 / static_cast<double>(in_dim));
-  for (double& v : out_layer.w) v = rng.NextGaussian() * stddev;
-  model.layers_.push_back(std::move(out_layer));
 
-  const int64_t n = table.num_records();
+  const int64_t n = rows.num_rows();
   const size_t num_layers = model.layers_.size();
+  // The gradient is one flat vector: layer li's weights at offset[li],
+  // then its biases.
+  std::vector<int64_t> offset(num_layers + 1, 0);
+  for (size_t li = 0; li < num_layers; ++li) {
+    const MlpModel::Layer& layer = model.layers_[li];
+    offset[li + 1] =
+        offset[li] + static_cast<int64_t>(layer.w.size() + layer.b.size());
+  }
+  const int64_t num_params = offset[num_layers];
 
   for (int iter = 0; iter < config.iterations; ++iter) {
-    // Zero-initialized gradient accumulators mirroring layer shapes.
-    std::vector<std::vector<double>> grad_w(num_layers);
-    std::vector<std::vector<double>> grad_b(num_layers);
-    for (size_t li = 0; li < num_layers; ++li) {
-      grad_w[li].assign(model.layers_[li].w.size(), 0.0);
-      grad_b[li].assign(model.layers_[li].b.size(), 0.0);
-    }
-    std::mutex merge_mu;
-
-    auto pass = engine->MapPartitions(
-        table,
-        [&](std::vector<df::Record> records)
-            -> Result<std::vector<df::Record>> {
-          std::vector<std::vector<double>> lw(num_layers), lb(num_layers);
-          for (size_t li = 0; li < num_layers; ++li) {
-            lw[li].assign(model.layers_[li].w.size(), 0.0);
-            lb[li].assign(model.layers_[li].b.size(), 0.0);
-          }
-          std::vector<float> x;
-          float label = 0;
+    const std::vector<double> grad =
+        SumBlocks(engine, rows, num_params, [&](int b, double* local) {
           std::vector<std::vector<double>> acts;
-          for (const df::Record& r : records) {
-            VISTA_RETURN_IF_ERROR(extract(r, &x, &label));
-            const double p = model.Forward(x.data(), &acts);
+          for (int64_t r = 0; r < rows.rows(b); ++r) {
+            const double p = model.Forward(rows.x(b, r), &acts);
+            const double label = rows.label(b, r);
             // dL/dlogit for sigmoid + cross-entropy.
-            std::vector<double> delta{p - static_cast<double>(label)};
+            std::vector<double> delta{p - label};
             for (int li = static_cast<int>(num_layers) - 1; li >= 0; --li) {
               const MlpModel::Layer& layer = model.layers_[li];
               const std::vector<double>& input = acts[li];
+              double* gb = local + offset[li] + layer.w.size();
               std::vector<double> next_delta(layer.in, 0.0);
               for (int64_t r_out = 0; r_out < layer.out; ++r_out) {
                 const double d = delta[r_out];
                 if (d == 0.0) continue;
-                double* gw = lw[li].data() + r_out * layer.in;
+                double* gw = local + offset[li] + r_out * layer.in;
                 const double* wr = layer.w.data() + r_out * layer.in;
                 for (int64_t c = 0; c < layer.in; ++c) {
                   gw[c] += d * input[c];
                   next_delta[c] += d * wr[c];
                 }
-                lb[li][r_out] += d;
+                gb[r_out] += d;
               }
               if (li > 0) {
                 // Gate by the ReLU derivative of the previous activation.
@@ -152,31 +111,25 @@ Result<MlpModel> TrainMlp(df::Engine* engine, const df::Table& table,
               delta = std::move(next_delta);
             }
           }
-          std::lock_guard<std::mutex> lock(merge_mu);
-          for (size_t li = 0; li < num_layers; ++li) {
-            for (size_t i = 0; i < lw[li].size(); ++i) {
-              grad_w[li][i] += lw[li][i];
-            }
-            for (size_t i = 0; i < lb[li].size(); ++i) {
-              grad_b[li][i] += lb[li][i];
-            }
-          }
-          return std::vector<df::Record>{};
         });
-    VISTA_RETURN_IF_ERROR(pass.status());
 
     const double scale = config.learning_rate / static_cast<double>(n);
     for (size_t li = 0; li < num_layers; ++li) {
       MlpModel::Layer& layer = model.layers_[li];
-      for (size_t i = 0; i < layer.w.size(); ++i) {
-        layer.w[i] -= scale * grad_w[li][i];
-      }
-      for (size_t i = 0; i < layer.b.size(); ++i) {
-        layer.b[i] -= scale * grad_b[li][i];
-      }
+      const double* g = grad.data() + offset[li];
+      for (size_t i = 0; i < layer.w.size(); ++i) layer.w[i] -= scale * g[i];
+      g += layer.w.size();
+      for (size_t i = 0; i < layer.b.size(); ++i) layer.b[i] -= scale * g[i];
     }
   }
   return model;
+}
+
+Result<MlpModel> TrainMlp(df::Engine* engine, const df::Table& table,
+                          const FeatureExtractor& extract,
+                          const MlpConfig& config) {
+  VISTA_ASSIGN_OR_RETURN(DenseSplit rows, Featurize(engine, table, extract));
+  return TrainMlp(engine, rows.train, config);
 }
 
 }  // namespace vista::ml

@@ -36,8 +36,7 @@ class MlpModel {
   int64_t MemoryBytes() const;
 
  private:
-  friend Result<MlpModel> TrainMlp(df::Engine*, const df::Table&,
-                                   const FeatureExtractor&,
+  friend Result<MlpModel> TrainMlp(df::Engine*, const DenseRows&,
                                    const MlpConfig&);
   struct Layer {
     // Row-major (out x in) weights and per-unit bias.
@@ -55,7 +54,13 @@ class MlpModel {
   int64_t input_dim_ = 0;
 };
 
-/// Trains an MLP over a partitioned table. Labels must be 0/1.
+/// Trains an MLP on featurized rows: every iteration backpropagates one
+/// gradient partial per block on the engine's pool and merges them in block
+/// order. Labels must be 0/1.
+Result<MlpModel> TrainMlp(df::Engine* engine, const DenseRows& rows,
+                          const MlpConfig& config);
+
+/// Featurizes `table` once (see Featurize), then trains on the rows.
 Result<MlpModel> TrainMlp(df::Engine* engine, const df::Table& table,
                           const FeatureExtractor& extract,
                           const MlpConfig& config);

@@ -1,72 +1,35 @@
 #include "ml/scaler.h"
 
 #include <cmath>
-#include <mutex>
 
 namespace vista::ml {
 
 Result<StandardScaler> StandardScaler::Fit(df::Engine* engine,
                                            const df::Table& table,
                                            const FeatureExtractor& extract) {
-  if (table.num_records() == 0) {
-    return Status::InvalidArgument("cannot fit a scaler on an empty table");
-  }
-  std::mutex mu;
-  std::vector<double> sum, sum_sq;
-  int64_t count = 0;
-  auto pass = engine->MapPartitions(
-      table,
-      [&](std::vector<df::Record> records)
-          -> Result<std::vector<df::Record>> {
-        std::vector<double> local_sum, local_sq;
-        int64_t local_count = 0;
-        std::vector<float> x;
-        float label = 0;
-        for (const df::Record& r : records) {
-          VISTA_RETURN_IF_ERROR(extract(r, &x, &label));
-          if (local_sum.empty()) {
-            local_sum.assign(x.size(), 0.0);
-            local_sq.assign(x.size(), 0.0);
+  VISTA_ASSIGN_OR_RETURN(DenseSplit split, Featurize(engine, table, extract));
+  const DenseRows& rows = split.train;
+  VISTA_RETURN_IF_ERROR(rows.CheckTrainable());
+  const int64_t dim = rows.dim();
+  // Per-feature sums, then sums of squares.
+  const std::vector<double> sums =
+      SumBlocks(engine, rows, 2 * dim, [&](int b, double* local) {
+        for (int64_t r = 0; r < rows.rows(b); ++r) {
+          const float* x = rows.x(b, r);
+          for (int64_t i = 0; i < dim; ++i) {
+            local[i] += x[i];
+            local[dim + i] += static_cast<double>(x[i]) * x[i];
           }
-          if (local_sum.size() != x.size()) {
-            return Status::InvalidArgument(
-                "inconsistent feature dimensionality while fitting scaler");
-          }
-          for (size_t i = 0; i < x.size(); ++i) {
-            local_sum[i] += x[i];
-            local_sq[i] += static_cast<double>(x[i]) * x[i];
-          }
-          ++local_count;
         }
-        if (local_count > 0) {
-          std::lock_guard<std::mutex> lock(mu);
-          if (sum.empty()) {
-            sum.assign(local_sum.size(), 0.0);
-            sum_sq.assign(local_sum.size(), 0.0);
-          }
-          if (sum.size() != local_sum.size()) {
-            return Status::InvalidArgument(
-                "inconsistent feature dimensionality across partitions");
-          }
-          for (size_t i = 0; i < sum.size(); ++i) {
-            sum[i] += local_sum[i];
-            sum_sq[i] += local_sq[i];
-          }
-          count += local_count;
-        }
-        return std::vector<df::Record>{};
       });
-  VISTA_RETURN_IF_ERROR(pass.status());
-  if (count == 0 || sum.empty()) {
-    return Status::InvalidArgument("scaler saw no feature vectors");
-  }
+  const int64_t count = rows.num_rows();
   StandardScaler scaler;
-  scaler.mean_.resize(sum.size());
-  scaler.stddev_.resize(sum.size());
-  for (size_t i = 0; i < sum.size(); ++i) {
-    const double mean = sum[i] / static_cast<double>(count);
-    const double variance =
-        std::max(0.0, sum_sq[i] / static_cast<double>(count) - mean * mean);
+  scaler.mean_.resize(dim);
+  scaler.stddev_.resize(dim);
+  for (int64_t i = 0; i < dim; ++i) {
+    const double mean = sums[i] / static_cast<double>(count);
+    const double variance = std::max(
+        0.0, sums[dim + i] / static_cast<double>(count) - mean * mean);
     scaler.mean_[i] = mean;
     // Relative floor: the sum-of-squares formula cancels catastrophically
     // for (near-)constant features, so anything within noise of zero is

@@ -10,14 +10,15 @@
 namespace vista::ml {
 
 /// Per-feature standardization (zero mean, unit variance), fitted with one
-/// partition-parallel pass over a table. CNN feature layers and structured
-/// features live on very different scales; standardizing stabilizes the
+/// featurize pass over a table. CNN feature layers and structured features
+/// live on very different scales; standardizing stabilizes the
 /// gradient-descent downstream models.
 class StandardScaler {
  public:
   /// Fits means and standard deviations over the features produced by
-  /// `extract`. Constant features get a unit standard deviation so the
-  /// transform never divides by ~zero.
+  /// `extract`, featurizing `table` once (see Featurize) and summing one
+  /// partial per block in block order. Constant features get a unit
+  /// standard deviation so the transform never divides by ~zero.
   static Result<StandardScaler> Fit(df::Engine* engine,
                                     const df::Table& table,
                                     const FeatureExtractor& extract);

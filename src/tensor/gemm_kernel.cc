@@ -171,30 +171,20 @@ void PackBConv(const ConvPatchView& v, int64_t pc, int64_t jc, int64_t kc,
 /// Written with GCC/Clang vector extensions (8-float lanes, two per NR=16
 /// row) so the 6x16 accumulator block provably lives in 12 vector
 /// registers; plain auto-vectorization of the equivalent scalar loops only
-/// produced 16-byte SLP on GCC 12. target_clones emits AVX2/AVX-512
-/// variants behind a runtime ifunc dispatch, keeping the binary portable
-/// to baseline x86-64 (and the scalar fallback keeps other
-/// compilers/architectures working).
-#if defined(__GNUC__) || defined(__clang__)
-#define VISTA_HAVE_VECTOR_EXT 1
-#else
-#define VISTA_HAVE_VECTOR_EXT 0
-#endif
+/// produced 16-byte SLP on GCC 12. The one body is compiled per ISA level
+/// (baseline, x86-64-v3, x86-64-v4) and picked once at startup via
+/// __builtin_cpu_supports, the int8 kernel's dispatch idiom below. (An
+/// ifunc resolver, as target_clones emits, runs before a sanitizer runtime
+/// is initialized.)
+using MicroKernelFn = void (*)(int64_t kc, const float* ap, const float* bp,
+                               float* acc);
 
-#if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__)
-#define VISTA_GEMM_CLONES \
-  __attribute__((target_clones("default,arch=x86-64-v3,arch=x86-64-v4")))
-#else
-#define VISTA_GEMM_CLONES
-#endif
-
-#if VISTA_HAVE_VECTOR_EXT
 typedef float Vec8 __attribute__((vector_size(32)));
 static_assert(kGemmNR == 16, "micro-kernel assumes two 8-float lanes");
 
-VISTA_GEMM_CLONES
-void MicroKernel(int64_t kc, const float* __restrict ap,
-                 const float* __restrict bp, float* __restrict acc) {
+__attribute__((always_inline)) inline void MicroKernelBody(
+    int64_t kc, const float* __restrict ap, const float* __restrict bp,
+    float* __restrict acc) {
   Vec8 c[kGemmMR][2];
   for (int64_t i = 0; i < kGemmMR; ++i) {
     std::memcpy(&c[i][0], acc + i * kGemmNR, sizeof(Vec8));
@@ -215,20 +205,35 @@ void MicroKernel(int64_t kc, const float* __restrict ap,
     std::memcpy(acc + i * kGemmNR + 8, &c[i][1], sizeof(Vec8));
   }
 }
-#else
-void MicroKernel(int64_t kc, const float* ap, const float* bp, float* acc) {
-  for (int64_t p = 0; p < kc; ++p) {
-    const float* a = ap + p * kGemmMR;
-    const float* b = bp + p * kGemmNR;
-    for (int64_t i = 0; i < kGemmMR; ++i) {
-      const float ai = a[i];
-      for (int64_t j = 0; j < kGemmNR; ++j) {
-        acc[i * kGemmNR + j] += ai * b[j];
-      }
-    }
-  }
+
+void MicroKernelDefault(int64_t kc, const float* ap, const float* bp,
+                        float* acc) {
+  MicroKernelBody(kc, ap, bp, acc);
+}
+
+#if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__)
+#define VISTA_HAVE_FP32_ISA_KERNELS 1
+__attribute__((target("arch=x86-64-v3"))) void MicroKernelV3(
+    int64_t kc, const float* ap, const float* bp, float* acc) {
+  MicroKernelBody(kc, ap, bp, acc);
+}
+
+__attribute__((target("arch=x86-64-v4"))) void MicroKernelV4(
+    int64_t kc, const float* ap, const float* bp, float* acc) {
+  MicroKernelBody(kc, ap, bp, acc);
 }
 #endif
+
+MicroKernelFn ResolveMicroKernel() {
+#if defined(VISTA_HAVE_FP32_ISA_KERNELS)
+  __builtin_cpu_init();
+  if (__builtin_cpu_supports("x86-64-v4")) return MicroKernelV4;
+  if (__builtin_cpu_supports("x86-64-v3")) return MicroKernelV3;
+#endif
+  return MicroKernelDefault;
+}
+
+const MicroKernelFn g_micro_kernel = ResolveMicroKernel();
 
 /// Runs the micro-tile grid over one packed (mc x kc) A panel and
 /// (kc x nc) B panel, accumulating into C. `first` zeroes instead of
@@ -253,7 +258,7 @@ void InnerTiles(int64_t mc, int64_t nc, int64_t kc, const float* ap,
           for (int64_t j = 0; j < nr; ++j) acc[i * kGemmNR + j] = src[j];
         }
       }
-      MicroKernel(kc, astrip, bstrip, acc);
+      g_micro_kernel(kc, astrip, bstrip, acc);
       for (int64_t i = 0; i < mr; ++i) {
         float* dst = c + (ir + i) * ldc + jr;
         const float* row = acc + i * kGemmNR;
@@ -495,9 +500,9 @@ struct Int8KernelChoice {
   const char* name;
 };
 
-/// Manual runtime dispatch (resolved once at startup): target_clones has
-/// no clone level that implies VNNI, so the int8 kernel picks its ISA via
-/// __builtin_cpu_supports instead.
+/// Runtime dispatch resolved once at startup, as for the fp32 kernel: no
+/// x86-64 ISA level implies VNNI, so the int8 kernel tests the features
+/// themselves.
 Int8KernelChoice ResolveMicroKernelInt8() {
 #if VISTA_HAVE_X86_INT8 && defined(__GNUC__)
   __builtin_cpu_init();

@@ -40,9 +40,10 @@ float* KernelScratch::Acquire(Slot slot, size_t num_floats) {
     ++reuses_;
     return buf.data;
   }
-  // Grow geometrically so alternating layer shapes converge to the largest
-  // request instead of reallocating on every size change.
-  const size_t capacity = std::max(num_floats, buf.capacity * 2);
+  // Grow to exactly the request: a slot still only grows, so alternating
+  // layer shapes converge to the largest request after one pass, and no
+  // worker holds more than the widest block it has actually used.
+  const size_t capacity = num_floats;
   if (buf.data != nullptr) {
     ::operator delete[](buf.data, std::align_val_t(kAlignment));
   }

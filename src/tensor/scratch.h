@@ -9,9 +9,10 @@ namespace vista {
 /// Reusable, cache-line-aligned scratch buffers for the tensor kernels.
 ///
 /// A KernelScratch owns one growable buffer per slot (packed A panel,
-/// packed B panel, ...). Acquire() returns a pointer with at
-/// least the requested capacity, growing geometrically on miss and reusing
-/// the existing allocation on hit — so a CNN forward pass performs a fixed
+/// packed B panel, ...). Acquire() returns a pointer with at least the
+/// requested capacity, growing to exactly the request on miss and reusing
+/// the existing allocation on hit. Slots never shrink, so a slot holds the
+/// largest request it has seen, and a CNN forward pass performs a fixed
 /// number of allocations on the first image (the warm-up) and zero on every
 /// image after it. The alloc/reuse counters make that claim testable.
 ///

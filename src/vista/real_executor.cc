@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <functional>
-#include <mutex>
 
 #include "common/stopwatch.h"
 #include "features/synthetic.h"
@@ -356,31 +355,13 @@ Result<LayerRunResult> RealExecutor::RunTrain(
       MakeTransferExtractor(step.feature_slot, config.pooling_grid);
   const double test_fraction = config.test_fraction;
 
-  // Deterministic train/test split by id hash.
-  auto train_split = engine_->MapPartitions(
-      input, [test_fraction](std::vector<df::Record> records)
-                 -> Result<std::vector<df::Record>> {
-        std::vector<df::Record> out;
-        for (df::Record& r : records) {
-          if (!feat::IsTestId(r.id, test_fraction)) {
-            out.push_back(std::move(r));
-          }
-        }
-        return out;
-      });
-  VISTA_RETURN_IF_ERROR(train_split.status());
-  auto test_split = engine_->MapPartitions(
-      input, [test_fraction](std::vector<df::Record> records)
-                 -> Result<std::vector<df::Record>> {
-        std::vector<df::Record> out;
-        for (df::Record& r : records) {
-          if (feat::IsTestId(r.id, test_fraction)) {
-            out.push_back(std::move(r));
-          }
-        }
-        return out;
-      });
-  VISTA_RETURN_IF_ERROR(test_split.status());
+  // One featurize pass: the deterministic train/test split by id hash
+  // routes each record's row to the train or the held-out blocks.
+  const auto is_test = [test_fraction](const df::Record& r) {
+    return feat::IsTestId(r.id, test_fraction);
+  };
+  VISTA_ASSIGN_OR_RETURN(ml::DenseSplit split,
+                         ml::Featurize(engine_, input, extractor, is_test));
 
   // Train the configured downstream model and collect test predictions.
   std::function<int(const float*)> predict;
@@ -390,7 +371,7 @@ Result<LayerRunResult> RealExecutor::RunTrain(
       lr.iterations = workload.training_iterations;
       VISTA_ASSIGN_OR_RETURN(
           ml::LogisticRegressionModel model,
-          ml::TrainLogisticRegression(engine_, *train_split, extractor, lr));
+          ml::TrainLogisticRegression(engine_, split.train, lr));
       predict = [model = std::move(model)](const float* x) {
         return model.Predict(x);
       };
@@ -400,8 +381,7 @@ Result<LayerRunResult> RealExecutor::RunTrain(
       ml::MlpConfig mlp = config.mlp;
       mlp.iterations = workload.training_iterations;
       VISTA_ASSIGN_OR_RETURN(ml::MlpModel model,
-                             ml::TrainMlp(engine_, *train_split, extractor,
-                                          mlp));
+                             ml::TrainMlp(engine_, split.train, mlp));
       predict = [model = std::move(model)](const float* x) {
         return model.Predict(x);
       };
@@ -410,8 +390,7 @@ Result<LayerRunResult> RealExecutor::RunTrain(
     case DownstreamModel::kDecisionTree: {
       VISTA_ASSIGN_OR_RETURN(
           ml::DecisionTreeModel model,
-          ml::TrainDecisionTree(engine_, *train_split, extractor,
-                                config.tree));
+          ml::TrainDecisionTree(split.train, config.tree));
       predict = [model = std::move(model)](const float* x) {
         return model.Predict(x);
       };
@@ -419,28 +398,22 @@ Result<LayerRunResult> RealExecutor::RunTrain(
     }
   }
 
-  // Evaluate on the held-out split.
-  std::mutex metrics_mu;
+  // Evaluate on the held-out rows: one confusion partial per block, merged
+  // in block order.
+  const ml::DenseRows& test = split.holdout;
+  std::vector<ml::BinaryMetrics> partial(test.num_blocks());
+  engine_->pool()->ParallelFor(test.num_blocks(), [&](int64_t b) {
+    for (int64_t r = 0; r < test.rows(b); ++r) {
+      partial[b].Add(predict(test.x(b, r)), test.label(b, r) > 0.5f ? 1 : 0);
+    }
+  });
   ml::BinaryMetrics metrics;
-  auto eval = engine_->MapPartitions(
-      *test_split,
-      [&](std::vector<df::Record> records)
-          -> Result<std::vector<df::Record>> {
-        ml::BinaryMetrics local;
-        std::vector<float> x;
-        float label = 0;
-        for (const df::Record& r : records) {
-          VISTA_RETURN_IF_ERROR(extractor(r, &x, &label));
-          local.Add(predict(x.data()), label > 0.5f ? 1 : 0);
-        }
-        std::lock_guard<std::mutex> lock(metrics_mu);
-        metrics.true_positives += local.true_positives;
-        metrics.false_positives += local.false_positives;
-        metrics.true_negatives += local.true_negatives;
-        metrics.false_negatives += local.false_negatives;
-        return std::vector<df::Record>{};
-      });
-  VISTA_RETURN_IF_ERROR(eval.status());
+  for (const ml::BinaryMetrics& local : partial) {
+    metrics.true_positives += local.true_positives;
+    metrics.false_positives += local.false_positives;
+    metrics.true_negatives += local.true_negatives;
+    metrics.false_negatives += local.false_negatives;
+  }
 
   result.train_seconds = watch.ElapsedSeconds();
   result.test_metrics = metrics;

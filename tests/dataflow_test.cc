@@ -365,7 +365,15 @@ TEST(EngineTest, JoinMergesImageAndFeatures) {
 
 TEST(EngineTest, BroadcastJoinChargesCoreMemory) {
   EngineConfig config = SmallEngineConfig();
-  config.budgets.core = 1000;  // Far too small for the broadcast table.
+  // Core fits one side's records once. The broadcast charges the smaller
+  // side once per worker (total x num_workers), which does not fit. The
+  // shuffle join charges each bucket's smaller side while it builds, and
+  // however many buckets build at the same time, their smaller sides sum
+  // to at most one side's total, which does.
+  int64_t side_bytes = 0;
+  for (const Record& r : MakeRecords(50)) side_bytes += EstimateRecordBytes(r);
+  config.budgets.core = side_bytes;
+  ASSERT_LT(config.budgets.core, side_bytes * config.num_workers);
   Engine engine(config);
   auto left = engine.MakeTable(MakeRecords(50), 4);
   auto right = engine.MakeTable(MakeRecords(50), 4);

@@ -350,6 +350,37 @@ TEST(RealExecutorTest, DownstreamDecisionTreeAndMlp) {
   }
 }
 
+TEST(RealExecutorTest, TrainStageIsThreadCountInvariantAndReleasesUserMemory) {
+  df::EngineConfig serial;
+  serial.cpus_per_worker = 1;
+  Fixture one = Fixture::Make(dl::KnownCnn::kAlexNet, 2, 150, serial);
+  Fixture four = Fixture::Make(dl::KnownCnn::kAlexNet, 2, 150);
+  for (DownstreamModel m :
+       {DownstreamModel::kLogisticRegression, DownstreamModel::kMlp,
+        DownstreamModel::kDecisionTree}) {
+    TransferWorkload workload = one.workload;
+    workload.model = m;
+    auto plan = CompilePlan(LogicalPlan::kStaged, workload);
+    ASSERT_TRUE(plan.ok());
+    auto a = RealExecutor(one.engine.get(), one.model.get())
+                 .Run(*plan, workload, one.t_str, one.t_img, FastConfig());
+    auto b = RealExecutor(four.engine.get(), four.model.get())
+                 .Run(*plan, workload, four.t_str, four.t_img, FastConfig());
+    ASSERT_TRUE(a.ok() && b.ok()) << DownstreamModelToString(m);
+    ASSERT_EQ(a->per_layer.size(), b->per_layer.size());
+    for (size_t i = 0; i < a->per_layer.size(); ++i) {
+      const ml::BinaryMetrics& x = a->per_layer[i].test_metrics;
+      const ml::BinaryMetrics& y = b->per_layer[i].test_metrics;
+      EXPECT_GT(x.total(), 0);
+      EXPECT_EQ(x.true_positives, y.true_positives);
+      EXPECT_EQ(x.false_positives, y.false_positives);
+      EXPECT_EQ(x.true_negatives, y.true_negatives);
+      EXPECT_EQ(x.false_negatives, y.false_negatives);
+    }
+    // Every User charge, the featurized rows' included, is released.
+    EXPECT_EQ(four.engine->memory().Used(df::MemoryRegion::kUser), 0);
+  }
+}
 
 TEST(RealExecutorTest, MultiImageRecordsAggregateFeatures) {
   // Multi-image support (paper future work): per-record features are the

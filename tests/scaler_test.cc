@@ -1,4 +1,5 @@
 #include <cmath>
+#include <cstring>
 
 #include <gtest/gtest.h>
 
@@ -124,6 +125,46 @@ TEST(ScalerTest, StabilizesLogisticRegressionOnSkewedScales) {
     }
   }
   EXPECT_GT(correct / 2000.0, 0.95);
+}
+
+std::vector<uint64_t> Bits(const std::vector<double>& values) {
+  std::vector<uint64_t> bits(values.size());
+  std::memcpy(bits.data(), values.data(), values.size() * sizeof(double));
+  return bits;
+}
+
+// Per-block sums merge in block order, so the fit is a function of the data
+// alone, not of the thread count or the order partitions finish in.
+TEST(ScalerTest, FitIsBitwiseEqualAcrossRunsAndThreadCounts) {
+  auto fit = [](int threads) {
+    df::EngineConfig config;
+    config.num_workers = 1;
+    config.cpus_per_worker = threads;
+    df::Engine engine(config);
+    Rng rng(4);
+    std::vector<df::Record> records;
+    for (int i = 0; i < 4000; ++i) {
+      df::Record r;
+      r.id = i;
+      r.struct_features.push_back(static_cast<float>(i % 2));
+      for (int j = 0; j < 64; ++j) {
+        r.struct_features.push_back(
+            static_cast<float>(j + (j + 1) * rng.NextGaussian()));
+      }
+      records.push_back(std::move(r));
+    }
+    auto scaler = StandardScaler::Fit(
+        &engine, engine.MakeTable(std::move(records), 16).value(), Extract);
+    EXPECT_TRUE(scaler.ok());
+    std::vector<uint64_t> bits = Bits(scaler->mean());
+    const std::vector<uint64_t> stddev = Bits(scaler->stddev());
+    bits.insert(bits.end(), stddev.begin(), stddev.end());
+    return bits;
+  };
+  const std::vector<uint64_t> serial = fit(1);
+  for (int run = 0; run < 20; ++run) {
+    ASSERT_EQ(fit(4), serial) << "run " << run;
+  }
 }
 
 }  // namespace
